@@ -49,6 +49,16 @@ class AddressSpaceLocator final : public PageLocator {
   mem::AddressSpace& space_;
 };
 
+/// Locator for replayed traces, whose address space is gone: every address
+/// is homed on node 0, the master-allocation default the tool targets.
+/// Sound for verdicts: whether a sample is remote comes from its recorded
+/// level; only the channel's home-node attribution uses this.  Stateless,
+/// so concurrent locate() calls are safe.
+class MasterNodeLocator final : public PageLocator {
+ public:
+  topology::NodeId locate(mem::Addr, topology::NodeId) override { return 0; }
+};
+
 /// A sample annotated with everything the classifier and diagnoser need.
 struct AttributedSample {
   pebs::MemorySample sample;

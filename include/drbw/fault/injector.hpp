@@ -157,6 +157,16 @@ inline bool should_inject(std::string_view site, Kind kind,
   }
 }
 
+/// True while a plan is armed; compiled out to a constant `false`.  Hot
+/// loops use it to take a bulk path when no draw can fire.
+inline bool armed() {
+  if constexpr (!kEnabled) {
+    return false;
+  } else {
+    return Injector::global().armed();
+  }
+}
+
 /// Bit-flips `value` when compiled in (callers gate on should_inject first).
 inline std::uint64_t corrupt_bits(std::string_view site, std::uint64_t key,
                                   std::uint64_t value) {

@@ -14,6 +14,7 @@
 // drbw/util/error.hpp.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -104,10 +105,35 @@ class Histogram {
   void reset();
 
  private:
+  friend class HistogramTally;
+
   std::vector<std::uint64_t> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> count_{0};
+};
+
+/// Plain, single-writer tally over one Histogram's buckets.  A hot loop
+/// observes into it without atomics; flush() then adds everything to the
+/// histogram with one round of atomics, exactly as if each value had been
+/// observed there, and clears the tally.
+class HistogramTally {
+ public:
+  explicit HistogramTally(Histogram& target)
+      : target_(target), counts_(target.bounds().size() + 1, 0) {}
+
+  void observe(std::uint64_t v) {
+    const std::vector<std::uint64_t>& bounds = target_.bounds_;
+    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+    ++counts_[static_cast<std::size_t>(it - bounds.begin())];
+    sum_ += v;
+  }
+  void flush();
+
+ private:
+  Histogram& target_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t sum_ = 0;
 };
 
 /// Named instrument registry.  Registration is idempotent: re-registering an

@@ -60,6 +60,12 @@ class BoundedQueue {
   /// Offers one sample under the overload policy (see file comment).
   AdmitResult push(const pebs::SessionSample& sample);
 
+  /// Tallies `count` offers pushed back at once.  Under block a full queue
+  /// defers every later offer until the next drain, so a caller that just
+  /// got kDeferred can account the rest of its backlog in one call instead
+  /// of re-offering each sample.
+  void note_deferred(std::uint64_t count);
+
   /// Pops up to `max` samples, oldest first.
   std::vector<pebs::SessionSample> drain(std::size_t max);
 

@@ -147,6 +147,7 @@ class Engine {
  private:
   struct BurstState;
   struct ThreadState;
+  struct SampleTally;
 
   /// Resolves span/homes/hit-profile for the thread's next pending burst.
   void activate_burst(ThreadState& ts, const AccessBurst& burst);
@@ -155,7 +156,8 @@ class Engine {
   double access_cost(const ThreadState& ts, const ChannelLoad& load) const;
   void emit_samples(ThreadState& ts, std::uint64_t served,
                     std::uint64_t epoch_start, double cost,
-                    const ChannelLoad& load, RunResult& result);
+                    const ChannelLoad& load, RunResult& result,
+                    SampleTally& tally);
 
   const topology::Machine& machine_;
   mem::AddressSpace& space_;

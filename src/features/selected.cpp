@@ -35,14 +35,14 @@ const std::array<std::string, kNumSelected>& selected_feature_keys() {
 
 namespace {
 
-/// Accumulates Table I statistics over one scope.
+/// Accumulates Table I statistics over one scope.  The remote-DRAM
+/// statistics (features 6-7) cover every remote sample, or — given
+/// `num_nodes` — are split by home node, so one pass over a source node's
+/// samples fills every channel leaving it (finish(home)).
 class Accumulator {
  public:
-  /// `remote_home_filter` < 0 accepts every remote sample; otherwise only
-  /// remote samples homed on that node count toward features 6-7 (the
-  /// per-channel scope).
-  explicit Accumulator(int remote_home_filter = -1)
-      : remote_home_filter_(remote_home_filter) {}
+  explicit Accumulator(int num_nodes = 0)
+      : remote_by_home_(static_cast<std::size_t>(num_nodes)) {}
 
   void add(const core::AttributedSample& s) {
     const double lat = s.sample.latency_cycles;
@@ -55,9 +55,10 @@ class Accumulator {
 
     switch (s.sample.level) {
       case pebs::MemLevel::kRemoteDram:
-        if (remote_home_filter_ < 0 || s.home_node == remote_home_filter_) {
-          remote_.add(lat);
-        }
+        (remote_by_home_.empty()
+             ? remote_
+             : remote_by_home_[static_cast<std::size_t>(s.home_node)])
+            .add(lat);
         break;
       case pebs::MemLevel::kLocalDram:
         local_.add(lat);
@@ -70,7 +71,13 @@ class Accumulator {
     }
   }
 
-  FeatureVector finish() const {
+  FeatureVector finish() const { return finish(remote_); }
+  FeatureVector finish(topology::NodeId home) const {
+    return finish(remote_by_home_[static_cast<std::size_t>(home)]);
+  }
+
+ private:
+  FeatureVector finish(const OnlineStats& remote) const {
     FeatureVector v;
     const auto n = static_cast<double>(all_.count());
     for (int i = 0; i < 5; ++i) {
@@ -78,8 +85,8 @@ class Accumulator {
           n > 0.0 ? static_cast<double>(above_[static_cast<std::size_t>(i)]) / n
                   : 0.0;
     }
-    v.values[5] = static_cast<double>(remote_.count());
-    v.values[6] = remote_.mean();
+    v.values[5] = static_cast<double>(remote.count());
+    v.values[6] = remote.mean();
     v.values[7] = static_cast<double>(local_.count());
     v.values[8] = local_.mean();
     v.values[9] = n;
@@ -90,10 +97,9 @@ class Accumulator {
     return v;
   }
 
- private:
-  int remote_home_filter_;
   OnlineStats all_;
   OnlineStats remote_;
+  std::vector<OnlineStats> remote_by_home_;
   OnlineStats local_;
   OnlineStats lfb_;
   std::array<std::uint64_t, 5> above_{};
@@ -114,22 +120,16 @@ std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile
   std::vector<ChannelFeatures> out;
   for (int src = 0; src < machine.num_nodes(); ++src) {
     // One pass over the source node's samples fills all of its channels.
-    std::vector<Accumulator> accs;
-    accs.reserve(static_cast<std::size_t>(machine.num_nodes()));
-    for (int dst = 0; dst < machine.num_nodes(); ++dst) {
-      accs.emplace_back(/*remote_home_filter=*/dst);
-    }
+    Accumulator acc(machine.num_nodes());
     for (const core::ChannelProfile& channel : profile.channels) {
       if (channel.channel.src != src) continue;
-      for (const core::AttributedSample& s : channel.samples) {
-        for (auto& acc : accs) acc.add(s);
-      }
+      for (const core::AttributedSample& s : channel.samples) acc.add(s);
     }
     for (int dst = 0; dst < machine.num_nodes(); ++dst) {
       if (dst == src) continue;  // detection targets remote channels only
       ChannelFeatures cf;
       cf.channel = topology::ChannelId{src, dst};
-      cf.features = accs[static_cast<std::size_t>(dst)].finish();
+      cf.features = acc.finish(dst);
       out.push_back(std::move(cf));
     }
   }

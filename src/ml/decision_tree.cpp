@@ -126,8 +126,8 @@ Json DriftBaseline::to_json() const {
   JsonArray rows;
   for (const auto& feature_counts : counts) {
     JsonArray row;
-    for (const std::uint64_t c : feature_counts) row.push_back(Json(c));
-    rows.push_back(Json(std::move(row)));
+    for (const std::uint64_t c : feature_counts) row.emplace_back(c);
+    rows.emplace_back(std::move(row));
   }
   j.set("counts", Json(std::move(rows)));
   return j;

@@ -52,6 +52,23 @@ void Histogram::observe_n(std::uint64_t v, std::uint64_t n) {
   count_.fetch_add(n, std::memory_order_relaxed);
 }
 
+void HistogramTally::flush() {
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
+    if (kEnabled) {
+      target_.counts_[i].fetch_add(counts_[i], std::memory_order_relaxed);
+    }
+    count += counts_[i];
+    counts_[i] = 0;
+  }
+  if (kEnabled && count > 0) {
+    target_.sum_.fetch_add(sum_, std::memory_order_relaxed);
+    target_.count_.fetch_add(count, std::memory_order_relaxed);
+  }
+  sum_ = 0;
+}
+
 std::uint64_t Histogram::bucket_count(std::size_t i) const {
   DRBW_CHECK(i <= bounds_.size());
   return counts_[i].load(std::memory_order_relaxed);

@@ -72,6 +72,11 @@ AdmitResult BoundedQueue::push(const pebs::SessionSample& sample) {
   return AdmitResult::kRejected;
 }
 
+void BoundedQueue::note_deferred(std::uint64_t count) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  deferred_ += count;
+}
+
 std::vector<pebs::SessionSample> BoundedQueue::drain(std::size_t max) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t n = std::min(max, queue_.size());

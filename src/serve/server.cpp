@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <sstream>
 
 #include "drbw/core/profiler.hpp"
@@ -17,32 +16,6 @@
 namespace drbw::serve {
 
 namespace {
-
-/// Page locator for replayed streams: every recorded allocation range is
-/// homed on node 0 (the master-allocation default), like the CLI's offline
-/// analyze path.  Read-only after construction, so concurrent locate()
-/// calls from classify tasks are safe.
-class ReplayLocator final : public core::PageLocator {
- public:
-  explicit ReplayLocator(const std::vector<mem::AllocationEvent>& events) {
-    for (const auto& e : events) {
-      if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-        ranges_[e.base] = e.base + e.size_bytes;
-      }
-    }
-  }
-  topology::NodeId locate(mem::Addr addr, topology::NodeId) override {
-    auto it = ranges_.upper_bound(addr);
-    if (it != ranges_.begin()) {
-      --it;
-      if (addr < it->second) return 0;
-    }
-    return 0;
-  }
-
- private:
-  std::map<mem::Addr, mem::Addr> ranges_;
-};
 
 /// One deterministic retry loop: `draw(attempt)` returns true when the
 /// injected fault fires for that attempt.  Success on any attempt makes the
@@ -75,7 +48,8 @@ RetryOutcome attempt_with_backoff(int max_retries, std::uint64_t backoff_base,
 struct ClientState {
   ClientStats stats;
   std::size_t cursor = 0;  ///< next unconsumed session sample
-  std::vector<pebs::SessionSample> deferred;  ///< pushed back under block
+  /// Offers pushed back under block, oldest first; re-offered next tick.
+  std::deque<pebs::SessionSample> backlog;
   std::vector<pebs::SessionSample> buffer;    ///< sliding classify window
   int consecutive_faults = 0;
   // Model-health accounting (touched only when a model is present).
@@ -218,7 +192,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
 
   const std::vector<pebs::ClientSession> sessions =
       pebs::slice_sessions(trace, clients);
-  ReplayLocator locator(trace.events);
+  core::MasterNodeLocator locator;
   util::TaskPool pool(options_.jobs);
 
   std::vector<ClientState> states(clients);
@@ -253,8 +227,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
       st.stats.quarantined = true;
       st.stats.quarantined_tick = tick;
       st.stats.dropped += queues[c].drain(queue_depth).size();
-      st.stats.dropped += st.deferred.size();
-      st.deferred.clear();
+      st.stats.dropped += st.backlog.size();
+      st.backlog.clear();
       st.stats.dropped += sessions[c].samples.size() - st.cursor;
       st.cursor = sessions[c].samples.size();
       st.buffer.clear();
@@ -326,7 +300,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
     for (std::uint32_t c = 0; c < clients; ++c) {
       const ClientState& st = states[c];
       if (st.stats.quarantined) continue;
-      if (st.cursor < sessions[c].samples.size() || !st.deferred.empty() ||
+      if (st.cursor < sessions[c].samples.size() || !st.backlog.empty() ||
           queues[c].size() > 0) {
         pending = true;
         break;
@@ -343,8 +317,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
         ClientState& st = states[c];
         if (st.stats.quarantined) continue;
         st.stats.dropped += queues[c].drain(queue_depth).size();
-        st.stats.dropped += st.deferred.size();
-        st.deferred.clear();
+        st.stats.dropped += st.backlog.size();
+        st.backlog.clear();
         st.stats.dropped += sessions[c].samples.size() - st.cursor;
         st.cursor = sessions[c].samples.size();
       }
@@ -362,7 +336,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       const std::vector<pebs::SessionSample>& stream = sessions[c].samples;
       const bool has_arrival =
           st.cursor < stream.size() && stream[st.cursor].sample.cycle < window_end;
-      if (!has_arrival && st.deferred.empty()) continue;
+      if (!has_arrival && st.backlog.empty()) continue;
 
       // Session-level gate: one retryable draw per client-window.
       const std::uint64_t session_key =
@@ -383,18 +357,21 @@ ServeResult Server::run(const pebs::Trace& trace) {
       }
       st.consecutive_faults = 0;
 
-      std::vector<pebs::SessionSample> offers;
-      offers.swap(st.deferred);
+      // This tick's offers are the backlog followed by the new arrivals.
+      // Each is popped from the front and, if deferred, pushed to the back,
+      // so after one pass the backlog holds the deferred ones in order.
+      std::deque<pebs::SessionSample>& backlog = st.backlog;
       while (st.cursor < stream.size() &&
              stream[st.cursor].sample.cycle < window_end) {
-        offers.push_back(stream[st.cursor]);
+        backlog.push_back(stream[st.cursor]);
         ++st.cursor;
       }
-      for (const pebs::SessionSample& sample : offers) {
-        if (st.stats.quarantined) {
-          ++st.stats.dropped;
-          continue;
-        }
+      const bool armed = fault::armed();
+      // A breaker trip clears the backlog and counts it dropped.
+      for (std::size_t left = backlog.size();
+           left > 0 && !st.stats.quarantined; --left) {
+        const pebs::SessionSample sample = backlog.front();
+        backlog.pop_front();
         ++st.stats.offered;
         if (fault::should_inject("serve.ingest", fault::Kind::kDropSample,
                                  sample.ordinal)) {
@@ -414,16 +391,20 @@ ServeResult Server::run(const pebs::Trace& trace) {
           record_fault(c, tick);
           continue;
         }
-        switch (queues[c].push(sample)) {
-          case AdmitResult::kAdmitted:
-          case AdmitResult::kShed:
-            st.consecutive_faults = 0;
+        const AdmitResult admit = queues[c].push(sample);
+        if (admit == AdmitResult::kDeferred) {
+          if (!armed) {
+            // Nothing drains during admission and no draw can fire, so
+            // every later offer this tick would be deferred as well: tally
+            // them at once and leave them where they are.
+            backlog.push_front(sample);
+            st.stats.offered += left - 1;
+            queues[c].note_deferred(left - 1);
             break;
-          case AdmitResult::kDeferred:
-            st.deferred.push_back(sample);
-            break;
-          case AdmitResult::kRejected:
-            break;
+          }
+          backlog.push_back(sample);
+        } else if (admit != AdmitResult::kRejected) {
+          st.consecutive_faults = 0;
         }
       }
     }

@@ -100,6 +100,26 @@ struct Engine::ThreadState {
   double profiling_cost_per_access = 0.0;
 };
 
+/// Per-sample instruments of one run, kept in plain integers and added to
+/// the registry when the run ends, normally or by an exception, so the
+/// totals equal per-sample updates.  Parallel runs would otherwise contend
+/// on the same atomics for every sample.
+struct Engine::SampleTally {
+  explicit SampleTally(SimMetrics& m) : metrics(m), latency(m.sample_latency) {}
+  SampleTally(const SampleTally&) = delete;
+  SampleTally& operator=(const SampleTally&) = delete;
+  ~SampleTally() {
+    metrics.samples.add(emitted);
+    metrics.samples_below_threshold.add(below_threshold);
+    latency.flush();
+  }
+
+  SimMetrics& metrics;
+  obs::HistogramTally latency;
+  std::uint64_t emitted = 0;
+  std::uint64_t below_threshold = 0;
+};
+
 Engine::Engine(const topology::Machine& machine, mem::AddressSpace& space,
                EngineConfig config)
     : machine_(machine), space_(space), config_(config),
@@ -176,7 +196,8 @@ double Engine::access_cost(const ThreadState& ts, const ChannelLoad& load) const
 
 void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
                           std::uint64_t epoch_start, double /*cost*/,
-                          const ChannelLoad& load, RunResult& result) {
+                          const ChannelLoad& load, RunResult& result,
+                          SampleTally& tally) {
   DRBW_CHECK_MSG(served >= 1,
                  "emit_samples requires served >= 1 (offset mapping divides "
                  "by served and clamps to served - 1)");
@@ -273,12 +294,11 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     // lands on regardless of latency.
     if (config_.sampling_flavor == SamplingFlavor::kPebs &&
         latency < config_.sample_latency_threshold) {
-      SimMetrics::get().samples_below_threshold.add(1);
+      ++tally.below_threshold;
       continue;
     }
-    SimMetrics::get().samples.add(1);
-    SimMetrics::get().sample_latency.observe(
-        static_cast<std::uint64_t>(std::llround(latency)));
+    ++tally.emitted;
+    tally.latency.observe(static_cast<std::uint64_t>(std::llround(latency)));
 
     pebs::MemorySample sample;
     sample.address = addr;
@@ -351,6 +371,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
 
   ChannelLoad load(machine_, config_.bandwidth);
   SimMetrics& metrics = SimMetrics::get();
+  SampleTally sample_tally(metrics);
   // Hoisted: one relaxed load per run, not per epoch.  Channel arg keys for
   // the per-epoch counter event are built once, only when tracing.
   const bool tracing = obs::Trace::instance().enabled();
@@ -475,7 +496,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
             std::min(1.0, static_cast<double>(n) * cost / epoch_cycles));
 
         if (config_.profiling) {
-          emit_samples(ts, n, clock, cost, load, result);
+          emit_samples(ts, n, clock, cost, load, result, sample_tally);
         }
 
         // Traffic + latency accounting.

@@ -2,8 +2,11 @@
 // candidate catalogue + selection study.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "drbw/features/candidates.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/util/stats.hpp"
 
 namespace drbw::features {
 namespace {
@@ -99,6 +102,87 @@ TEST_F(FeaturesTest, ChannelScopeFiltersRemoteByHomeNode) {
     if (cf.channel.src == 3) {
       EXPECT_EQ(cf.features.scope_samples, 0u);
       EXPECT_DOUBLE_EQ(cf.features.values[5], 0.0);
+    }
+  }
+}
+
+TEST_F(FeaturesTest, ChannelScopeIsBitExactAgainstPerDestinationScan) {
+  // Remote-DRAM samples homed on every node (the source's own included),
+  // plus local, LFB and cache hits, with latencies spread so that the
+  // Welford means depend on the exact order each statistic sees them in.
+  core::ProfileResult profile;
+  profile.channels.resize(static_cast<std::size_t>(machine_.num_channels()));
+  for (int i = 0; i < machine_.num_channels(); ++i) {
+    profile.channels[static_cast<std::size_t>(i)].channel =
+        machine_.channel_at(i);
+  }
+  const pebs::MemLevel levels[] = {
+      pebs::MemLevel::kRemoteDram, pebs::MemLevel::kRemoteDram,
+      pebs::MemLevel::kLocalDram, pebs::MemLevel::kLfb, pebs::MemLevel::kL2};
+  std::uint64_t lcg = 12345;
+  for (int i = 0; i < 600; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    core::AttributedSample s;
+    s.src_node = static_cast<topology::NodeId>((lcg >> 33) % 3);  // node 3 silent
+    s.home_node = static_cast<topology::NodeId>((lcg >> 40) % 4);
+    s.sample.level = levels[(lcg >> 20) % 5];
+    s.sample.latency_cycles =
+        static_cast<float>((lcg >> 44) % 1500) + 0.37f * static_cast<float>(i % 7);
+    profile.channels[static_cast<std::size_t>(machine_.channel_index(
+                         topology::ChannelId{s.src_node, s.home_node}))]
+        .samples.push_back(s);
+  }
+
+  const auto channels = extract_channels(profile, machine_);
+  ASSERT_EQ(channels.size(), 12u);
+  std::size_t next = 0;
+  for (int src = 0; src < machine_.num_nodes(); ++src) {
+    for (int dst = 0; dst < machine_.num_nodes(); ++dst) {
+      if (dst == src) continue;
+      // Reference: a fresh scan of the source's samples per destination.
+      OnlineStats all, remote, local, lfb;
+      std::array<std::uint64_t, 5> above{};
+      const double cuts[5] = {1000.0, 500.0, 200.0, 100.0, 50.0};
+      for (const core::ChannelProfile& channel : profile.channels) {
+        if (channel.channel.src != src) continue;
+        for (const core::AttributedSample& s : channel.samples) {
+          const double lat = s.sample.latency_cycles;
+          all.add(lat);
+          for (std::size_t k = 0; k < 5; ++k) {
+            if (lat > cuts[k]) ++above[k];
+          }
+          if (s.sample.level == pebs::MemLevel::kRemoteDram &&
+              s.home_node == dst) {
+            remote.add(lat);
+          }
+          if (s.sample.level == pebs::MemLevel::kLocalDram) local.add(lat);
+          if (s.sample.level == pebs::MemLevel::kLfb) lfb.add(lat);
+        }
+      }
+      const double n = static_cast<double>(all.count());
+      std::array<double, kNumSelected> want{};
+      for (std::size_t k = 0; k < 5; ++k) {
+        want[k] = n > 0.0 ? static_cast<double>(above[k]) / n : 0.0;
+      }
+      want[5] = static_cast<double>(remote.count());
+      want[6] = remote.mean();
+      want[7] = static_cast<double>(local.count());
+      want[8] = local.mean();
+      want[9] = n;
+      want[10] = all.mean();
+      want[11] = static_cast<double>(lfb.count());
+      want[12] = lfb.mean();
+
+      const ChannelFeatures& got = channels[next++];
+      ASSERT_EQ(got.channel, (topology::ChannelId{src, dst}));
+      EXPECT_EQ(got.features.scope_samples, all.count());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got.features.values[k], want[k])
+            << "channel " << src << "->" << dst << " feature " << k;
+      }
+      if (src < 3) {
+        EXPECT_GT(remote.count(), 0u);
+      }
     }
   }
 }

@@ -71,6 +71,26 @@ TEST(ObsHistogramTest, ObserveNMatchesRepeatedObserve) {
   EXPECT_EQ(bulk.sum(), loop.sum());
 }
 
+TEST(ObsHistogramTest, TallyFlushMatchesRepeatedObserve) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
+  Histogram tallied({10, 20, 30});
+  Histogram loop({10, 20, 30});
+  const std::uint64_t values[] = {10, 11, 30, 31, 0, 99, 20};
+  {
+    HistogramTally tally(tallied);
+    for (const std::uint64_t v : values) tally.observe(v);
+    EXPECT_EQ(tallied.count(), 0u);  // nothing reaches the histogram yet
+    tally.flush();
+    tally.flush();  // a second flush adds nothing
+  }
+  for (const std::uint64_t v : values) loop.observe(v);
+  for (std::size_t i = 0; i <= 3; ++i) {
+    EXPECT_EQ(tallied.bucket_count(i), loop.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(tallied.count(), loop.count());
+  EXPECT_EQ(tallied.sum(), loop.sum());
+}
+
 TEST(ObsHistogramTest, RejectsUnsortedBounds) {
   EXPECT_THROW(Histogram({10, 5}), Error);
   EXPECT_THROW(Histogram({10, 10}), Error);

@@ -323,6 +323,61 @@ TEST(ServeLoopTest, BlockBackpressureIsLossless) {
   EXPECT_TRUE(r.drained);
 }
 
+void expect_same_client_stats(const serve::ClientStats& a,
+                              const serve::ClientStats& b) {
+  EXPECT_EQ(a.client, b.client);
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.deferred, b.deferred);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
+  EXPECT_EQ(a.windows_classified, b.windows_classified);
+  EXPECT_EQ(a.windows_rmc, b.windows_rmc);
+  EXPECT_EQ(a.peak_depth, b.peak_depth);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.quarantined_tick, b.quarantined_tick);
+}
+
+TEST(ServeLoopTest, BlockBulkDeferralMatchesPerOfferAdmission) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULTS=OFF";
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::Trace trace = mixed_trace(machine, 800);
+  const ml::Classifier model = always_rmc_model();
+  for (const int jobs : {1, 4}) {
+    serve::ServeOptions opts;
+    opts.clients = 4;
+    opts.queue_depth = 4;  // ~25 arrivals per client-tick: a deep backlog
+    opts.overload = serve::OverloadPolicy::kBlock;
+    opts.window_cycles = 500;
+    opts.min_window_samples = 1;
+    opts.min_remote_samples = 1;
+    opts.jobs = jobs;
+    // Disarmed, a full queue defers the rest of the backlog in bulk.
+    const serve::ServeResult bulk = serve::Server(machine, &model, opts).run(trace);
+    serve::ServeResult per_offer;
+    {
+      // Armed with a site that never fires: every offer is drawn and
+      // pushed one at a time.
+      const ArmGuard guard("seed=1,serve.ingest:fail:0");
+      per_offer = serve::Server(machine, &model, opts).run(trace);
+    }
+    EXPECT_EQ(bulk.snapshot_json, per_offer.snapshot_json) << "jobs " << jobs;
+    EXPECT_GT(bulk.samples_deferred, 10 * trace.samples.size());
+    EXPECT_EQ(bulk.samples_admitted, trace.samples.size());
+    EXPECT_TRUE(bulk.drained);
+    ASSERT_EQ(bulk.clients.size(), per_offer.clients.size());
+    for (std::size_t c = 0; c < bulk.clients.size(); ++c) {
+      const serve::ClientStats& st = bulk.clients[c];
+      expect_same_client_stats(st, per_offer.clients[c]);
+      EXPECT_EQ(st.offered, st.admitted + st.deferred + st.rejected + st.dropped);
+    }
+  }
+}
+
 TEST(ServeLoopTest, ClassifiesWindowsWithAModel) {
   const Machine machine = Machine::xeon_e5_4650();
   // Remote traffic: node-1 CPU reading node-0 homed pages (the replay

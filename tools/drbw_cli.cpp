@@ -561,33 +561,6 @@ int cmd_record(int argc, char** argv) {
   }
 }
 
-/// Page locator for offline analysis: reconstructs a plausible layout from
-/// the trace's allocation events (every recorded range homed on node 0,
-/// the master-allocation default the tool targets).  Sound for verdicts:
-/// remote/local classification of each SAMPLE comes from its recorded
-/// level; only the home-node attribution of the channel needs this map.
-class TraceLocator final : public core::PageLocator {
- public:
-  explicit TraceLocator(const std::vector<mem::AllocationEvent>& events) {
-    for (const auto& e : events) {
-      if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-        ranges_[e.base] = e.base + e.size_bytes;
-      }
-    }
-  }
-  topology::NodeId locate(mem::Addr addr, topology::NodeId) override {
-    auto it = ranges_.upper_bound(addr);
-    if (it != ranges_.begin()) {
-      --it;
-      if (addr < it->second) return 0;  // recorded heap: master-allocated
-    }
-    return 0;  // unknown (static) ranges: program image on node 0
-  }
-
- private:
-  std::map<mem::Addr, mem::Addr> ranges_;
-};
-
 int cmd_analyze(int argc, char** argv) {
   ArgParser parser("drbw analyze", "Analyze a recorded trace offline");
   parser.add_option("trace", "trace file from `drbw record`", "drbw_trace.csv");
@@ -683,7 +656,7 @@ int cmd_analyze(int argc, char** argv) {
     }
     const DrBw tool(machine, model);
 
-    TraceLocator locator(trace.events);
+    core::MasterNodeLocator locator;
     core::Profiler profiler(machine, locator);
 
     const auto windows = parser.option_int("windows");
@@ -834,7 +807,7 @@ int cmd_explain(int argc, char** argv) {
       buckets[std::min<std::size_t>(windows - 1, s.cycle / window_cycles)]
           .push_back(s);
     }
-    TraceLocator locator(trace.events);
+    core::MasterNodeLocator locator;
     struct Verdict {
       std::string channel;
       ml::Explanation exp;
