@@ -18,33 +18,16 @@
 #include "drbw/diagnoser/advice.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/ml/classify.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/ml/metrics.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/sim/engine.hpp"
 #include "drbw/topology/machine.hpp"
 
 namespace drbw {
 
-struct ChannelVerdict {
-  topology::ChannelId channel;
-  features::FeatureVector features;
-  ml::Label verdict = ml::Label::kGood;
-  /// True when the channel had too few samples and was defaulted to good
-  /// without consulting the model.
-  bool sparse = false;
-};
-
-struct AnalysisConfig {
-  /// Channels whose source node produced fewer samples than this are
-  /// defaulted to "good": hardware sampling "does not monitor every memory
-  /// access" (§V-D) and a starved batch carries no signal.
-  std::size_t min_source_samples = 50;
-  /// Channels carrying fewer remote-DRAM samples than this are defaulted to
-  /// "good": §IV-B — bandwidth issues on a channel are identified by the
-  /// accesses *on that channel*; a channel with (almost) no observed
-  /// traffic cannot be diagnosed as contended.
-  std::size_t min_remote_samples = 8;
-};
+using ChannelVerdict = ml::ChannelVerdict;
 
 struct Report {
   /// The paper's per-case rule 1 (§VII-A): rmc iff at least one remote
@@ -73,8 +56,9 @@ struct WindowVerdict {
 
 class DrBw {
  public:
+  /// `gates` default channels to good as sparse (see features::Gates).
   DrBw(const topology::Machine& machine, ml::Classifier model,
-       AnalysisConfig config = {});
+       features::Gates gates = features::kRunGates);
 
   /// Profiles a finished run (its samples + allocation events) and
   /// classifies/diagnoses it.
@@ -92,13 +76,21 @@ class DrBw {
                                              core::PageLocator& locator,
                                              std::uint64_t window_cycles) const;
 
+  /// Same, for windows already cut by pebs::split_cycle_windows.
+  /// Allocation events carry no timestamps, so `events` is the allocation
+  /// table of every window (the real tool keeps it live across the run).
+  std::vector<WindowVerdict> analyze_windows(
+      const std::vector<mem::AllocationEvent>& events,
+      const std::vector<pebs::CycleWindow>& windows,
+      core::PageLocator& locator) const;
+
   const ml::Classifier& model() const { return model_; }
   const topology::Machine& machine() const { return machine_; }
 
  private:
   const topology::Machine& machine_;
   ml::Classifier model_;
-  AnalysisConfig config_;
+  features::Gates gates_;
 };
 
 }  // namespace drbw

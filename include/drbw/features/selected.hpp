@@ -45,10 +45,40 @@ struct FeatureVector {
   /// Number of samples in the scope (diagnostic; equals values[9]).
   std::size_t scope_samples = 0;
 
+  /// Feature 6: remote-DRAM samples in the scope (on the channel, for a
+  /// channel scope).
+  double remote_dram_count() const { return values[5]; }
+  /// Feature 7: their average latency in cycles.
+  double remote_dram_latency() const { return values[6]; }
+
   std::vector<double> as_row() const {
     return std::vector<double>(values.begin(), values.end());
   }
 };
+
+/// Sparse-scope gates.  A channel whose source node produced fewer than
+/// `min_source_samples` samples — hardware sampling "does not monitor every
+/// memory access" (§V-D), so a starved batch carries no signal — or that
+/// carries fewer than `min_remote_samples` remote-DRAM samples — §IV-B: a
+/// channel with (almost) no observed traffic cannot be diagnosed as
+/// contended — is defaulted to good without consulting the model.
+struct Gates {
+  std::size_t min_source_samples = 0;
+  std::size_t min_remote_samples = 0;
+
+  bool admits(const FeatureVector& f) const {
+    return f.scope_samples >= min_source_samples &&
+           f.remote_dram_count() >= static_cast<double>(min_remote_samples);
+  }
+};
+
+/// Whole-run gates (DrBw::analyze, `drbw analyze`): a run-length scope has
+/// thousands of samples per source node, so only a truly starved one fails.
+inline constexpr Gates kRunGates{50, 8};
+/// Window gates (`drbw serve`, `drbw explain`): a cycle window or a sliding
+/// serve buffer holds a small fraction of a run, so the run gates would
+/// default nearly every channel to good.
+inline constexpr Gates kWindowGates{8, 2};
 
 /// Features of one remote channel, ready for classification.
 struct ChannelFeatures {

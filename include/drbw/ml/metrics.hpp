@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "drbw/ml/decision_tree.hpp"
 
@@ -42,6 +43,19 @@ struct CrossValidationResult {
   double accuracy = 0.0;
   int folds = 0;
 };
+
+/// One fold of a k-fold split: its held-out rows and the rows of every
+/// other fold, in fold order.
+struct FoldSplit {
+  std::vector<std::size_t> train;
+  std::vector<std::size_t> test;
+};
+
+/// Stratified k-fold split: shuffles each class with `seed`, then deals the
+/// rows round-robin into `folds` folds, so every fold keeps the class
+/// proportions.  Shared by the tree and forest cross-validation.
+std::vector<FoldSplit> stratified_folds(const Dataset& data, int folds,
+                                        std::uint64_t seed);
 
 /// Stratified k-fold CV: class proportions are preserved per fold; each
 /// fold is held out once while a model (normalizer + tree) is trained on

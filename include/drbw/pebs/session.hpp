@@ -43,4 +43,26 @@ std::vector<ClientSession> slice_sessions(const Trace& trace,
 /// its default window width from this span.
 std::uint64_t trace_cycle_span(const Trace& trace);
 
+/// One window of a cycle span: [start, end) and its samples, in input order.
+struct CycleWindow {
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  std::vector<MemorySample> samples;
+};
+
+/// Splits `samples` into consecutive `width`-cycle windows tiling
+/// [0, span): ceil(span / width) windows (at least one), the last ending at
+/// `span`.  Samples at or past the span land in the last window.
+std::vector<CycleWindow> split_cycle_windows(
+    const std::vector<MemorySample>& samples, std::uint64_t span,
+    std::uint64_t width);
+
+/// Cuts `trace` into `count` equal windows over its cycle span (last sample
+/// cycle + 1), each ceil(span / count) cycles wide — the windows of
+/// `drbw analyze --windows` and `drbw explain`.  Throws Error(kUsage),
+/// naming the span, when `count` such windows do not tile it (count is 0,
+/// exceeds the span, or would leave windows that start past its end).
+std::vector<CycleWindow> split_trace_windows(const Trace& trace,
+                                             std::uint64_t count);
+
 }  // namespace drbw::pebs

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/pebs/session.hpp"
 #include "drbw/serve/queue.hpp"
@@ -73,11 +74,10 @@ struct ServeOptions {
   std::uint64_t backoff_cycles = 100;
   /// Consecutive faults that trip a client into quarantine.
   int breaker_threshold = 3;
-  /// Sparse-window guards: a window buffer below these thresholds is
-  /// counted good without consulting the tree (mirrors analyze's sparse
-  /// channel handling).
-  std::size_t min_window_samples = 8;
-  std::size_t min_remote_samples = 2;
+  /// Sparse-channel gates for each window (see features::Gates): channels
+  /// below them are counted good without consulting the tree.
+  std::size_t min_window_samples = features::kWindowGates.min_source_samples;
+  std::size_t min_remote_samples = features::kWindowGates.min_remote_samples;
   int jobs = 1;
   /// Snapshot artifact path ("" = never write one).
   std::string snapshot_path;

@@ -24,9 +24,10 @@ class UsageError : public Error {
       : Error(what, ErrorCode::kUsage) {}
 };
 
-/// Declarative option registry + parser for `--name value` / `--flag` style
-/// arguments.  Unknown options are an error; `--help` prints usage and
-/// signals the caller to exit.
+/// Declarative option registry + parser for `--name value` / `--name=value`
+/// / `--flag` style arguments, plus optional positional arguments.  Unknown
+/// options are an error; `--help` prints usage and signals the caller to
+/// exit.
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description);
@@ -34,6 +35,11 @@ class ArgParser {
   ArgParser& add_flag(const std::string& name, const std::string& help);
   ArgParser& add_option(const std::string& name, const std::string& help,
                         const std::string& default_value);
+  /// Accepts between `min` and `max` positional (non-`--`) arguments,
+  /// collected in order; `name` labels them in usage and errors.  Without
+  /// this call any positional argument is an error.
+  ArgParser& add_positionals(const std::string& name, const std::string& help,
+                             std::size_t min, std::size_t max);
 
   /// Parses argv.  Returns false when `--help` was requested (usage has been
   /// printed); throws drbw::Error on malformed input.
@@ -43,6 +49,7 @@ class ArgParser {
   const std::string& option(const std::string& name) const;
   std::int64_t option_int(const std::string& name) const;
   double option_double(const std::string& name) const;
+  const std::vector<std::string>& positionals() const { return positionals_; }
 
   std::string usage() const;
 
@@ -63,6 +70,11 @@ class ArgParser {
   std::vector<std::pair<std::string, Spec>> specs_;
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> flags_;
+  std::string positional_name_;
+  std::string positional_help_;
+  std::size_t positional_min_ = 0;
+  std::size_t positional_max_ = 0;
+  std::vector<std::string> positionals_;
 
   const Spec* find_spec(const std::string& name) const;
 };

@@ -72,6 +72,10 @@ double quantile(std::vector<double> values, double q);
 /// Quantile over an already ascending-sorted vector.
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
+/// Lower median (nearest rank, no interpolation) of `values`; 0 when empty.
+/// Always one of the inputs, so summaries built from it are exact.
+double lower_median(std::vector<double> values);
+
 /// Fixed-width histogram used for latency distributions in reports.
 class Histogram {
  public:

@@ -462,16 +462,6 @@ void Classifier::observe_drift(const std::vector<double>& raw_row,
   serving.observe(normalizer_.apply(raw_row));
 }
 
-std::vector<Label> Classifier::predict_batch(
-    const std::vector<std::vector<double>>& raw_rows) const {
-  std::vector<Label> labels;
-  labels.reserve(raw_rows.size());
-  for (const std::vector<double>& row : raw_rows) {
-    labels.push_back(predict(row));
-  }
-  return labels;
-}
-
 std::string Classifier::describe() const {
   return tree_.to_string(feature_names_);
 }

@@ -80,14 +80,9 @@ ConfusionMatrix evaluate(const Classifier& model, const Dataset& data) {
   return cm;
 }
 
-CrossValidationResult stratified_kfold(const Dataset& data, int folds,
-                                       TreeParams params, std::uint64_t seed) {
+std::vector<FoldSplit> stratified_folds(const Dataset& data, int folds,
+                                        std::uint64_t seed) {
   DRBW_CHECK_MSG(folds >= 2, "cross-validation needs at least 2 folds");
-  DRBW_CHECK_MSG(data.size() >= static_cast<std::size_t>(folds),
-                 "fewer rows than folds");
-
-  // Shuffle within each class, then deal round-robin into folds so every
-  // fold keeps the class proportions (stratification).
   std::vector<std::size_t> good_idx, rmc_idx;
   for (std::size_t i = 0; i < data.size(); ++i) {
     (data.label(i) == Label::kRmc ? rmc_idx : good_idx).push_back(i);
@@ -109,21 +104,30 @@ CrossValidationResult stratified_kfold(const Dataset& data, int folds,
       fold_members[dealt++ % static_cast<std::size_t>(folds)].push_back(i);
     }
   }
+  std::vector<FoldSplit> splits(fold_members.size());
+  for (std::size_t f = 0; f < splits.size(); ++f) {
+    for (std::size_t g = 0; g < fold_members.size(); ++g) {
+      std::vector<std::size_t>& into = g == f ? splits[f].test : splits[f].train;
+      into.insert(into.end(), fold_members[g].begin(), fold_members[g].end());
+    }
+  }
+  return splits;
+}
+
+CrossValidationResult stratified_kfold(const Dataset& data, int folds,
+                                       TreeParams params, std::uint64_t seed) {
+  DRBW_CHECK_MSG(data.size() >= static_cast<std::size_t>(folds),
+                 "fewer rows than folds");
+  const std::vector<FoldSplit> splits = stratified_folds(data, folds, seed);
 
   obs::Span span("cross_validate");
   span.arg("folds", static_cast<double>(folds));
   span.arg("rows", static_cast<double>(data.size()));
   CrossValidationResult result;
   result.folds = folds;
-  for (int f = 0; f < folds; ++f) {
-    std::vector<std::size_t> train_idx;
-    for (int g = 0; g < folds; ++g) {
-      if (g == f) continue;
-      const auto& members = fold_members[static_cast<std::size_t>(g)];
-      train_idx.insert(train_idx.end(), members.begin(), members.end());
-    }
-    const Dataset train = data.subset(train_idx);
-    const Dataset test = data.subset(fold_members[static_cast<std::size_t>(f)]);
+  for (const FoldSplit& split : splits) {
+    const Dataset train = data.subset(split.train);
+    const Dataset test = data.subset(split.test);
     if (train.count(Label::kGood) == 0 || train.count(Label::kRmc) == 0) {
       // Degenerate fold split; fold contributes raw majority predictions.
       continue;

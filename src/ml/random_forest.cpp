@@ -130,28 +130,7 @@ ConfusionMatrix evaluate_forest(const RandomForest& model, const Dataset& data) 
 CrossValidationResult stratified_kfold_forest(const Dataset& data, int folds,
                                               ForestParams params,
                                               std::uint64_t seed) {
-  DRBW_CHECK_MSG(folds >= 2, "cross-validation needs at least 2 folds");
-  std::vector<std::size_t> good_idx, rmc_idx;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    (data.label(i) == Label::kRmc ? rmc_idx : good_idx).push_back(i);
-  }
-  Rng rng(seed);
-  auto shuffle = [&rng](std::vector<std::size_t>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::swap(v[i - 1], v[rng.bounded(i)]);
-    }
-  };
-  shuffle(good_idx);
-  shuffle(rmc_idx);
-
-  std::vector<std::vector<std::size_t>> fold_members(
-      static_cast<std::size_t>(folds));
-  std::size_t dealt = 0;
-  for (const auto* cls : {&good_idx, &rmc_idx}) {
-    for (const std::size_t i : *cls) {
-      fold_members[dealt++ % static_cast<std::size_t>(folds)].push_back(i);
-    }
-  }
+  const std::vector<FoldSplit> splits = stratified_folds(data, folds, seed);
 
   // Folds train on disjoint seeds and merge order-independent counts, so
   // they parallelize cleanly; per-fold results land in their own slot and
@@ -161,20 +140,13 @@ CrossValidationResult stratified_kfold_forest(const Dataset& data, int folds,
   std::vector<ConfusionMatrix> fold_confusion(static_cast<std::size_t>(folds));
   util::TaskPool pool(params.jobs);
   pool.parallel_for(static_cast<std::size_t>(folds), [&](std::size_t f) {
-    std::vector<std::size_t> train_idx;
-    for (int g = 0; g < folds; ++g) {
-      if (g == static_cast<int>(f)) continue;
-      train_idx.insert(train_idx.end(),
-                       fold_members[static_cast<std::size_t>(g)].begin(),
-                       fold_members[static_cast<std::size_t>(g)].end());
-    }
-    const Dataset train = data.subset(train_idx);
+    const Dataset train = data.subset(splits[f].train);
     if (train.count(Label::kGood) == 0 || train.count(Label::kRmc) == 0) return;
     ForestParams fold_params = params;
     fold_params.jobs = 1;  // parallelism lives at the fold level here
     fold_params.seed = params.seed + static_cast<std::uint64_t>(f) * 7919;
     const RandomForest model = RandomForest::train(train, fold_params);
-    fold_confusion[f] = evaluate_forest(model, data.subset(fold_members[f]));
+    fold_confusion[f] = evaluate_forest(model, data.subset(splits[f].test));
   });
   for (const ConfusionMatrix& cm : fold_confusion) result.confusion.merge(cm);
   result.accuracy = result.confusion.correctness();

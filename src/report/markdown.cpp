@@ -40,10 +40,9 @@ std::string to_markdown(const Report& result, const topology::Machine& machine,
   for (const ChannelVerdict& v : result.channels) {
     md << "| " << machine.channel_name(v.channel) << " | "
        << v.features.scope_samples << " | "
-       << format_fixed(v.features.values[5], 0) << " | "
-       << format_fixed(v.features.values[6], 1) << " | "
-       << (v.sparse ? "good (sparse)"
-                    : (v.verdict == ml::Label::kRmc ? "**RMC**" : "good"))
+       << format_fixed(v.features.remote_dram_count(), 0) << " | "
+       << format_fixed(v.features.remote_dram_latency(), 1) << " | "
+       << (v.sparse ? "good (sparse)" : (v.rmc() ? "**RMC**" : "good"))
        << " |\n";
   }
 

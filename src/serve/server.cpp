@@ -7,10 +7,11 @@
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/fault/injector.hpp"
-#include "drbw/features/selected.hpp"
+#include "drbw/ml/classify.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/artifact.hpp"
+#include "drbw/util/stats.hpp"
 #include "drbw/util/task_pool.hpp"
 
 namespace drbw::serve {
@@ -50,7 +51,7 @@ struct ClientState {
   std::size_t cursor = 0;  ///< next unconsumed session sample
   /// Offers pushed back under block, oldest first; re-offered next tick.
   std::deque<pebs::SessionSample> backlog;
-  std::vector<pebs::SessionSample> buffer;    ///< sliding classify window
+  std::vector<pebs::MemorySample> buffer;     ///< sliding classify window
   int consecutive_faults = 0;
   // Model-health accounting (touched only when a model is present).
   std::vector<double> window_confidences;
@@ -65,13 +66,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
-}
-
-/// Lower-median over an unsorted copy (nearest-rank, deterministic).
-double median_of(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[(values.size() - 1) / 2];
 }
 
 /// Bounds the snapshot: merges adjacent timeline rows until at most
@@ -99,7 +93,7 @@ std::vector<TimelineRow> downsample_timeline(
       }
       confidences.push_back(rows[i].confidence_p50);
     }
-    merged.confidence_p50 = median_of(std::move(confidences));
+    merged.confidence_p50 = lower_median(std::move(confidences));
     out.push_back(merged);
   }
   return out;
@@ -217,8 +211,19 @@ ServeResult Server::run(const pebs::Trace& trace) {
   result.drift_available = drift_on;
   result.drift_threshold = options_.drift_threshold;
 
+  // Counts everything a client still holds (queued, deferred, and
+  // unconsumed session samples) as dropped.
+  const auto drop_unserved = [&](std::uint32_t c) {
+    ClientState& st = states[c];
+    st.stats.dropped += queues[c].drain(queue_depth).size();
+    st.stats.dropped += st.backlog.size();
+    st.backlog.clear();
+    st.stats.dropped += sessions[c].samples.size() - st.cursor;
+    st.cursor = sessions[c].samples.size();
+  };
+
   // Trip the circuit breaker: quarantine the client and discard everything
-  // it still holds (queued, deferred, and unconsumed session samples).
+  // it still holds.
   const auto record_fault = [&](std::uint32_t c, std::uint64_t tick) {
     ClientState& st = states[c];
     ++st.stats.faults;
@@ -226,13 +231,20 @@ ServeResult Server::run(const pebs::Trace& trace) {
     if (!st.stats.quarantined && st.consecutive_faults >= breaker) {
       st.stats.quarantined = true;
       st.stats.quarantined_tick = tick;
-      st.stats.dropped += queues[c].drain(queue_depth).size();
-      st.stats.dropped += st.backlog.size();
-      st.backlog.clear();
-      st.stats.dropped += sessions[c].samples.size() - st.cursor;
-      st.cursor = sessions[c].samples.size();
+      drop_unserved(c);
       st.buffer.clear();
     }
+  };
+
+  // Max per-feature PSI divergence of a client's serving rows from the
+  // training baseline (0 before it has classified any).
+  const auto drift_of = [&](const ClientState& st) {
+    double score = 0.0;
+    if (st.serving.empty()) return score;
+    for (const double d : model_->drift_baseline().divergence(st.serving)) {
+      score = std::max(score, d);
+    }
+    return score;
   };
 
   // Per-client model health + run-level drift/confidence rollup — pure
@@ -251,16 +263,11 @@ ServeResult Server::run(const pebs::Trace& trace) {
       mh.windows = st.window_confidences.size();
       mh.rows = st.rows_classified;
       if (!st.window_confidences.empty()) {
-        mh.confidence_p50 = median_of(st.window_confidences);
+        mh.confidence_p50 = lower_median(st.window_confidences);
         mh.confidence_min = *std::min_element(st.window_confidences.begin(),
                                               st.window_confidences.end());
       }
-      if (!st.serving.empty()) {
-        for (const double d :
-             model_->drift_baseline().divergence(st.serving)) {
-          mh.drift_score = std::max(mh.drift_score, d);
-        }
-      }
+      mh.drift_score = drift_of(st);
       mh.drift_suspected = options_.drift_threshold > 0.0 && mh.windows > 0 &&
                            mh.drift_score >= options_.drift_threshold;
       if (mh.drift_suspected) ++out.drift_suspected_clients;
@@ -270,7 +277,16 @@ ServeResult Server::run(const pebs::Trace& trace) {
                              st.window_confidences.end());
       out.model_health.push_back(mh);
     }
-    out.confidence_p50 = median_of(std::move(all_confidences));
+    out.confidence_p50 = lower_median(std::move(all_confidences));
+  };
+
+  // Renders `out`'s snapshot into it and writes it to the snapshot path.
+  const auto write_snapshot = [&](ServeResult& out) {
+    obs::Span snap_span("serve.snapshot");
+    out.snapshot_json = render_snapshot(out);
+    util::write_versioned_artifact(options_.snapshot_path, "serve-snapshot",
+                                   kServeSnapshotVersion, out.snapshot_json);
+    ++result.snapshots_written;
   };
 
   // Generous termination backstop: the loop below always makes progress
@@ -314,13 +330,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       // still balances, then stop cleanly (the caller still snapshots).
       result.drained = false;
       for (std::uint32_t c = 0; c < clients; ++c) {
-        ClientState& st = states[c];
-        if (st.stats.quarantined) continue;
-        st.stats.dropped += queues[c].drain(queue_depth).size();
-        st.stats.dropped += st.backlog.size();
-        st.backlog.clear();
-        st.stats.dropped += sessions[c].samples.size() - st.cursor;
-        st.cursor = sessions[c].samples.size();
+        if (!states[c].stats.quarantined) drop_unserved(c);
       }
       break;
     }
@@ -416,7 +426,9 @@ ServeResult Server::run(const pebs::Trace& trace) {
       if (st.stats.quarantined) continue;
       const std::vector<pebs::SessionSample> batch = queues[c].drain(drain_n);
       if (batch.empty()) continue;
-      st.buffer.insert(st.buffer.end(), batch.begin(), batch.end());
+      for (const pebs::SessionSample& queued : batch) {
+        st.buffer.push_back(queued.sample);
+      }
       if (st.buffer.size() > options_.window_capacity) {
         st.buffer.erase(st.buffer.begin(),
                         st.buffer.begin() +
@@ -444,25 +456,9 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.window_fault = true;
         return;
       }
-      std::vector<pebs::MemorySample> samples;
-      samples.reserve(states[i].buffer.size());
-      for (const pebs::SessionSample& s : states[i].buffer) {
-        samples.push_back(s.sample);
-      }
       core::Profiler profiler(machine_, locator);
       const core::ProfileResult profile =
-          profiler.profile(trace.events, samples);
-      const std::vector<features::ChannelFeatures> channels =
-          features::extract_channels(profile, machine_);
-      std::vector<std::vector<double>> rows;
-      for (const features::ChannelFeatures& ch : channels) {
-        if (ch.features.scope_samples < options_.min_window_samples) continue;
-        if (ch.features.values[5] <
-            static_cast<double>(options_.min_remote_samples)) {
-          continue;
-        }
-        rows.push_back(ch.features.as_row());
-      }
+          profiler.profile(trace.events, states[i].buffer);
       const RetryOutcome classify = attempt_with_backoff(
           options_.max_retries, options_.backoff_cycles,
           [&](std::uint64_t attempt) {
@@ -475,16 +471,18 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.classify_fault = true;
         return;
       }
-      if (!rows.empty()) {
-        slot.rows = rows.size();
-        if (drift_on) slot.drift.resize(num_features);
-        double confidence = 1.0;
-        for (const std::vector<double>& row : rows) {
-          const ml::Explanation exp = model_->predict_explained(row);
-          if (exp.label == ml::Label::kRmc) slot.rmc = true;
-          confidence = std::min(confidence, exp.confidence);
-          if (drift_on) model_->observe_drift(row, slot.drift);
-        }
+      double confidence = 1.0;
+      for (const ml::ChannelVerdict& v : ml::classify_channels(
+               profile, machine_, *model_,
+               {options_.min_window_samples, options_.min_remote_samples})) {
+        if (v.sparse) continue;
+        if (drift_on && slot.rows == 0) slot.drift.resize(num_features);
+        ++slot.rows;
+        if (v.rmc()) slot.rmc = true;
+        confidence = std::min(confidence, v.explanation.confidence);
+        if (drift_on) model_->observe_drift(v.features.as_row(), slot.drift);
+      }
+      if (slot.rows > 0) {
         slot.confidence = confidence;
         slot.has_confidence = true;
       }
@@ -525,15 +523,11 @@ ServeResult Server::run(const pebs::Trace& trace) {
       double drift_now = 0.0;
       if (drift_on) {
         for (const ClientState& st : states) {
-          if (st.serving.empty()) continue;
-          for (const double d :
-               model_->drift_baseline().divergence(st.serving)) {
-            drift_now = std::max(drift_now, d);
-          }
+          drift_now = std::max(drift_now, drift_of(st));
         }
       }
       result.timeline.push_back(TimelineRow{tick, 1, tick_windows, tick_rmc,
-                                            median_of(tick_confidences),
+                                            lower_median(tick_confidences),
                                             drift_now});
     }
 
@@ -546,12 +540,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         partial.clients.push_back(states[c].stats);
       }
       fill_model_health(partial);
-      obs::Span snap_span("serve.snapshot");
-      partial.snapshot_json = render_snapshot(partial);
-      util::write_versioned_artifact(options_.snapshot_path, "serve-snapshot",
-                                     kServeSnapshotVersion,
-                                     partial.snapshot_json);
-      ++result.snapshots_written;
+      write_snapshot(partial);
     }
   }
 
@@ -636,13 +625,10 @@ ServeResult Server::run(const pebs::Trace& trace) {
              "High-water mark across every client ingest queue")
       .set_max(static_cast<double>(peak));
   if (model_ != nullptr) {
-    auto& confidence_hist = registry.histogram(
-        "drbw_model_confidence_bucket",
-        "Per-window classification confidence (leaf purity, percent)",
-        {50, 60, 70, 80, 90, 95, 100});
+    obs::Histogram& confidence_hist = ml::confidence_histogram();
     for (const ClientState& st : states) {
       for (const double c : st.window_confidences) {
-        confidence_hist.observe(static_cast<std::uint64_t>(c * 100.0 + 0.5));
+        confidence_hist.observe(ml::confidence_percent(c));
       }
     }
     registry
@@ -653,11 +639,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
   }
 
   if (!options_.snapshot_path.empty()) {
-    obs::Span snap_span("serve.snapshot");
-    result.snapshot_json = render_snapshot(result);
-    util::write_versioned_artifact(options_.snapshot_path, "serve-snapshot",
-                                   kServeSnapshotVersion, result.snapshot_json);
-    ++result.snapshots_written;
+    write_snapshot(result);
   } else {
     result.snapshot_json = render_snapshot(result);
   }

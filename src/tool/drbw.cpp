@@ -20,8 +20,8 @@ obs::Counter& channels_classified_counter() {
 }  // namespace
 
 DrBw::DrBw(const topology::Machine& machine, ml::Classifier model,
-           AnalysisConfig config)
-    : machine_(machine), model_(std::move(model)), config_(config) {
+           features::Gates gates)
+    : machine_(machine), model_(std::move(model)), gates_(gates) {
   DRBW_CHECK_MSG(model_.feature_names().size() == features::kNumSelected,
                  "model expects " << model_.feature_names().size()
                                   << " features; DR-BW extracts "
@@ -45,22 +45,9 @@ Report DrBw::analyze_profile(core::ProfileResult profile) const {
   {
     obs::Span span("classify");
     span.arg("channels", static_cast<double>(channel_features.size()));
-    for (features::ChannelFeatures& cf : channel_features) {
-      ChannelVerdict verdict;
-      verdict.channel = cf.channel;
-      verdict.features = cf.features;
-      if (cf.features.scope_samples < config_.min_source_samples ||
-          cf.features.values[5] <
-              static_cast<double>(config_.min_remote_samples)) {
-        verdict.sparse = true;
-        verdict.verdict = ml::Label::kGood;
-      } else {
-        verdict.verdict = model_.predict(cf.features.as_row());
-      }
-      if (verdict.verdict == ml::Label::kRmc) {
-        report.contended.push_back(cf.channel);
-      }
-      report.channels.push_back(std::move(verdict));
+    report.channels = ml::classify_channels(channel_features, model_, gates_);
+    for (const ChannelVerdict& v : report.channels) {
+      if (v.rmc()) report.contended.push_back(v.channel);
     }
     channels_classified_counter().add(report.channels.size());
   }
@@ -78,33 +65,24 @@ Report DrBw::analyze_profile(core::ProfileResult profile) const {
 std::vector<WindowVerdict> DrBw::analyze_windows(
     const sim::RunResult& run, core::PageLocator& locator,
     std::uint64_t window_cycles) const {
-  DRBW_CHECK_MSG(window_cycles > 0, "window length must be positive");
-  const std::uint64_t windows =
-      run.total_cycles / window_cycles + (run.total_cycles % window_cycles != 0);
-  std::vector<std::vector<pebs::MemorySample>> buckets(
-      std::max<std::uint64_t>(windows, 1));
-  for (const pebs::MemorySample& s : run.samples) {
-    const std::uint64_t w =
-        std::min<std::uint64_t>(s.cycle / window_cycles, buckets.size() - 1);
-    buckets[w].push_back(s);
-  }
+  return analyze_windows(
+      run.alloc_events,
+      pebs::split_cycle_windows(run.samples, run.total_cycles, window_cycles),
+      locator);
+}
 
+std::vector<WindowVerdict> DrBw::analyze_windows(
+    const std::vector<mem::AllocationEvent>& events,
+    const std::vector<pebs::CycleWindow>& windows,
+    core::PageLocator& locator) const {
   core::Profiler profiler(machine_, locator);
   std::vector<WindowVerdict> verdicts;
-  for (std::uint64_t w = 0; w < buckets.size(); ++w) {
-    WindowVerdict verdict;
-    verdict.start_cycle = w * window_cycles;
-    verdict.end_cycle =
-        std::min(run.total_cycles, (w + 1) * window_cycles);
-    verdict.samples = buckets[w].size();
-    // Allocation events carry no timestamps; the allocation table is valid
-    // for every window (the real tool keeps it live across the whole run).
-    const core::ProfileResult profile =
-        profiler.profile(run.alloc_events, buckets[w]);
-    const Report report = analyze_profile(profile);
-    verdict.rmc = report.rmc;
-    verdict.contended = report.contended;
-    verdicts.push_back(std::move(verdict));
+  for (const pebs::CycleWindow& window : windows) {
+    const Report report =
+        analyze_profile(profiler.profile(events, window.samples));
+    verdicts.push_back(WindowVerdict{window.start, window.end,
+                                     window.samples.size(), report.rmc,
+                                     report.contended});
   }
   return verdicts;
 }
@@ -122,10 +100,9 @@ std::string Report::to_string(const topology::Machine& machine) const {
   for (const ChannelVerdict& v : channels) {
     t.add_row({machine.channel_name(v.channel),
                std::to_string(v.features.scope_samples),
-               format_fixed(v.features.values[5], 0),
-               format_fixed(v.features.values[6], 1),
-               v.sparse ? "good (sparse)"
-                        : (v.verdict == ml::Label::kRmc ? "RMC" : "good")});
+               format_fixed(v.features.remote_dram_count(), 0),
+               format_fixed(v.features.remote_dram_latency(), 1),
+               v.sparse ? "good (sparse)" : (v.rmc() ? "RMC" : "good")});
   }
   os << t.render();
   if (rmc) {

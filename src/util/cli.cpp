@@ -28,6 +28,17 @@ ArgParser& ArgParser::add_option(const std::string& name, const std::string& hel
   return *this;
 }
 
+ArgParser& ArgParser::add_positionals(const std::string& name,
+                                      const std::string& help, std::size_t min,
+                                      std::size_t max) {
+  DRBW_CHECK_MSG(min <= max, "positional range " << min << ".." << max);
+  positional_name_ = name;
+  positional_help_ = help;
+  positional_min_ = min;
+  positional_max_ = max;
+  return *this;
+}
+
 const ArgParser::Spec* ArgParser::find_spec(const std::string& name) const {
   for (const auto& [n, spec] : specs_) {
     if (n == name) return &spec;
@@ -43,7 +54,16 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (!starts_with(arg, "--")) {
-      throw UsageError("unexpected positional argument '" + arg + "'");
+      if (positionals_.size() >= positional_max_) {
+        throw UsageError(
+            positional_max_ == 0
+                ? "unexpected positional argument '" + arg + "'"
+                : program_ + " takes at most " +
+                      std::to_string(positional_max_) + " <" +
+                      positional_name_ + ">, got '" + arg + "'");
+      }
+      positionals_.push_back(arg);
+      continue;
     }
     std::string name = arg.substr(2);
     std::string inline_value;
@@ -64,6 +84,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       if (i + 1 >= argc) throw UsageError("option --" + name + " expects a value");
       values_[name] = argv[++i];
     }
+  }
+  if (positionals_.size() < positional_min_) {
+    throw UsageError(program_ + " expects at least " +
+                     std::to_string(positional_min_) + " <" +
+                     positional_name_ + "> (see --help)");
   }
   return true;
 }
@@ -116,7 +141,13 @@ std::vector<std::pair<std::string, std::string>> ArgParser::resolved_options()
 
 std::string ArgParser::usage() const {
   std::ostringstream os;
-  os << program_ << " — " << description_ << "\n\nOptions:\n";
+  os << program_ << " — " << description_ << "\n\n";
+  if (positional_max_ > 0) {
+    os << "Arguments:\n  <" << positional_name_ << ">"
+       << (positional_max_ > 1 ? "..." : "") << "\n      " << positional_help_
+       << "\n\n";
+  }
+  os << "Options:\n";
   for (const auto& [name, spec] : specs_) {
     os << "  --" << name;
     if (!spec.is_flag) os << " <value>";

@@ -20,6 +20,12 @@ double quantile(std::vector<double> values, double q) {
   return quantile_sorted(values, q);
 }
 
+double lower_median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[(values.size() - 1) / 2];
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0) {

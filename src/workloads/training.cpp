@@ -54,8 +54,9 @@ TrainingInstance run_instance(const topology::Machine& machine,
   const auto channels = features::extract_channels(profile, machine);
   const features::ChannelFeatures* best = nullptr;
   for (const features::ChannelFeatures& cf : channels) {
-    if (best == nullptr || cf.features.values[5] > best->features.values[5] ||
-        (cf.features.values[5] == best->features.values[5] &&
+    if (best == nullptr ||
+        cf.features.remote_dram_count() > best->features.remote_dram_count() ||
+        (cf.features.remote_dram_count() == best->features.remote_dram_count() &&
          cf.features.scope_samples > best->features.scope_samples)) {
       best = &cf;
     }

@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include "drbw/drbw.hpp"
+#include "drbw/pebs/trace_io.hpp"
+#include "drbw/report/explain.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 
@@ -77,8 +79,10 @@ class DrBwToolTest : public ::testing::Test {
       const auto channels = features::extract_channels(profile, machine_);
       const features::ChannelFeatures* best = &channels.front();
       for (const auto& cf : channels) {
-        if (cf.features.values[5] > best->features.values[5] ||
-            (cf.features.values[5] == best->features.values[5] &&
+        if (cf.features.remote_dram_count() >
+                best->features.remote_dram_count() ||
+            (cf.features.remote_dram_count() ==
+                 best->features.remote_dram_count() &&
              cf.features.scope_samples > best->features.scope_samples)) {
           best = &cf;
         }
@@ -267,6 +271,62 @@ TEST_F(DrBwToolTest, WindowedAnalysisValidatesArguments) {
   EXPECT_EQ(verdicts.size(), 1u);  // one giant window
 }
 
+TEST_F(DrBwToolTest, AnalyzeExplainAndServeAgreePerWindow) {
+  // The contended fixture (6 threads x 4 nodes on node-0 memory), cut into
+  // 8 cycle windows.  Under the same gates, DrBw, explain, and serve all
+  // classify through ml::classify_channels, so they must agree window by
+  // window.
+  const ml::Classifier model = train_model();
+  AddressSpace space(machine_);
+  const auto run = make_run(machine_, space, 6, 4, /*bound=*/true, 400'000, 999);
+  const pebs::Trace trace{run.alloc_events, run.samples};
+  const std::vector<pebs::CycleWindow> windows =
+      pebs::split_trace_windows(trace, 8);
+  const DrBw tool(machine_, model, features::kWindowGates);
+  const report::ExplainResult explained =
+      report::explain_windows(machine_, model, trace.events, windows, 2);
+  ASSERT_EQ(explained.windows.size(), windows.size());
+
+  core::MasterNodeLocator locator;
+  core::Profiler profiler(machine_, locator);
+  std::vector<Report> reports;
+  std::size_t rmc_windows = 0;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    reports.push_back(
+        tool.analyze_profile(profiler.profile(trace.events, windows[w].samples)));
+    std::vector<std::string> analyzed, from_explain;
+    for (const auto& ch : reports.back().contended) {
+      analyzed.push_back(machine_.channel_name(ch));
+    }
+    for (const ml::ChannelVerdict& v : explained.windows[w].verdicts) {
+      if (v.rmc()) from_explain.push_back(machine_.channel_name(v.channel));
+    }
+    EXPECT_EQ(analyzed, from_explain) << "window " << w;
+    if (reports.back().rmc) ++rmc_windows;
+  }
+  EXPECT_GT(rmc_windows, 0u);  // the agreement covers contended verdicts
+
+  // Serve with one client and room for every sample: its first tick's
+  // buffer is exactly window 0.
+  serve::ServeOptions opts;
+  opts.clients = 1;
+  opts.queue_depth = trace.samples.size();
+  opts.window_capacity = trace.samples.size();
+  opts.window_cycles = windows[0].end - windows[0].start;
+  serve::Server server(machine_, &model, opts);
+  const serve::ServeResult served = server.run(trace);
+  ASSERT_FALSE(served.timeline.empty());
+  const serve::TimelineRow& first = served.timeline.front();
+  EXPECT_EQ(first.tick, 0u);
+  EXPECT_EQ(first.windows, 1u);
+  EXPECT_EQ(first.rmc, reports[0].rmc ? 1u : 0u);
+  double confidence = 1.0;
+  for (const ChannelVerdict& v : reports[0].channels) {
+    if (!v.sparse) confidence = std::min(confidence, v.explanation.confidence);
+  }
+  EXPECT_EQ(first.confidence_p50, confidence);
+}
+
 TEST_F(DrBwToolTest, RejectsModelWithWrongArity) {
   ml::Dataset d({"only", "two"});
   d.add({0.0, 0.0}, ml::Label::kGood);
@@ -354,6 +414,69 @@ TEST(DrBwCliExplainTest, WritesDeterministicArtifactAndReport) {
   EXPECT_NE(manifest.find("\"subcommand\": \"explain\""), std::string::npos);
   EXPECT_NE(manifest.find("\"explain\""), std::string::npos);
   EXPECT_NE(manifest.find("drbw_model_confidence_bucket"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// Like run_cli, but keeps stdout in `out_path`.
+int run_cli_to(const std::string& args, const std::string& out_path) {
+  const std::string cmd = std::string(DRBW_CLI_PATH) + " " + args + " >" +
+                          out_path + " 2>/dev/null";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// --windows N must fit the trace's cycle span (last sample cycle + 1):
+/// past it, analyze silently printed fewer windows, explain wrote inverted
+/// ones, and a huge N died on bad_alloc (exit 1).  Now both exit 64.
+TEST(DrBwCliExitCodeTest, WindowsBeyondTheCycleSpanExit64) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_windows_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  pebs::Trace trace;
+  for (std::uint64_t c = 0; c < 10; ++c) {  // span: 10 cycles
+    pebs::MemorySample s;
+    s.address = 0x1000 + 64 * c;
+    s.level = pebs::MemLevel::kRemoteDram;
+    s.latency_cycles = 300.0f;
+    s.cycle = c;
+    trace.samples.push_back(s);
+  }
+  pebs::save_trace(dir + "/trace.csv", trace);
+  ASSERT_EQ(run_cli("train --out " + dir + "/model.json"), 0);
+  const std::string input =
+      " --trace " + dir + "/trace.csv --model " + dir + "/model.json";
+  for (const char* over : {"20", "1000000000"}) {
+    EXPECT_EQ(run_cli("analyze" + input + " --windows " + over +
+                      " --run-dir " + dir + "/run"),
+              64)
+        << over;
+    EXPECT_EQ(run_cli("explain" + input + " --windows " + over + " --out " +
+                      dir + "/x.json --run-dir " + dir + "/run"),
+              64)
+        << over;
+  }
+
+  // Ten windows still fit: one line per 1-cycle window, as before.
+  const int analyzed = run_cli_to(
+      "analyze" + input + " --windows 10 --run-dir " + dir + "/run",
+      dir + "/analyze.out");
+  EXPECT_TRUE(analyzed == 0 || analyzed == 2) << analyzed;
+  const std::string lines = cli_read_file(dir + "/analyze.out");
+  for (int w = 0; w < 10; ++w) {
+    EXPECT_NE(lines.find("[" + std::to_string(w) + ", " +
+                         std::to_string(w + 1) + ") 1 samples: "),
+              std::string::npos)
+        << lines;
+  }
+  EXPECT_EQ(lines.find("[10, "), std::string::npos) << lines;
+  ASSERT_EQ(run_cli("explain" + input + " --windows 10 --out " + dir +
+                    "/e.json --run-dir " + dir + "/run"),
+            0);
+  const std::string artifact = cli_read_file(dir + "/e.json");
+  EXPECT_NE(artifact.find("\"windows\": 10"), std::string::npos);
+  EXPECT_NE(artifact.find("\"start\": 9,\n        \"end\": 10"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

@@ -196,6 +196,37 @@ TEST_F(FeaturesTest, NamesAndKeysAligned) {
             "Ratio of latency above 1000 among all samples");
 }
 
+TEST_F(FeaturesTest, NamedAccessorsReadRemoteDramFeatures) {
+  FeatureVector v;
+  v.values[5] = 12.0;
+  v.values[6] = 640.0;
+  EXPECT_EQ(v.remote_dram_count(), 12.0);
+  EXPECT_EQ(v.remote_dram_latency(), 640.0);
+}
+
+TEST(FeatureGates, AdmitExactlyAtEachThresholdAndNotOneBelow) {
+  // The whole-run gates follow §V-D / §IV-B; the window gates are the
+  // serve loop's.  Pinned so a change is a deliberate, reviewed one.
+  EXPECT_EQ(kRunGates.min_source_samples, 50u);
+  EXPECT_EQ(kRunGates.min_remote_samples, 8u);
+  EXPECT_EQ(kWindowGates.min_source_samples, 8u);
+  EXPECT_EQ(kWindowGates.min_remote_samples, 2u);
+  for (const Gates& gates : {kRunGates, kWindowGates}) {
+    FeatureVector at;
+    at.scope_samples = gates.min_source_samples;
+    at.values[5] = static_cast<double>(gates.min_remote_samples);
+    EXPECT_TRUE(gates.admits(at));
+
+    FeatureVector few_source = at;
+    few_source.scope_samples -= 1;
+    EXPECT_FALSE(gates.admits(few_source));
+
+    FeatureVector few_remote = at;
+    few_remote.values[5] -= 1.0;
+    EXPECT_FALSE(gates.admits(few_remote));
+  }
+}
+
 TEST_F(FeaturesTest, CandidateCatalogueIsStableAndCategorized) {
   const auto names = candidate_names();
   EXPECT_GE(names.size(), 25u);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "drbw/pebs/sample.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/util/error.hpp"
 
 namespace drbw::pebs {
@@ -79,6 +80,74 @@ TEST(MemLevel, NamesAndDramPredicate) {
   EXPECT_TRUE(is_dram(MemLevel::kRemoteDram));
   EXPECT_FALSE(is_dram(MemLevel::kL3));
   EXPECT_FALSE(is_dram(MemLevel::kLfb));
+}
+
+/// A trace with one sample per cycle in [0, last].
+Trace trace_through_cycle(std::uint64_t last) {
+  Trace trace;
+  for (std::uint64_t c = 0; c <= last; ++c) {
+    MemorySample s;
+    s.cycle = c;
+    trace.samples.push_back(s);
+  }
+  return trace;
+}
+
+TEST(CycleWindows, TraceWindowsTileTheSpan) {
+  const Trace trace = trace_through_cycle(9);  // span 10
+  for (const std::uint64_t count : {1u, 2u, 4u, 5u, 10u}) {
+    const std::vector<CycleWindow> windows = split_trace_windows(trace, count);
+    ASSERT_EQ(windows.size(), count);
+    std::size_t samples = 0;
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      EXPECT_LT(windows[w].start, windows[w].end) << count << " windows";
+      if (w > 0) {
+        EXPECT_EQ(windows[w].start, windows[w - 1].end);
+      }
+      for (const MemorySample& s : windows[w].samples) {
+        EXPECT_GE(s.cycle, windows[w].start);
+        EXPECT_LT(s.cycle, windows[w].end);
+      }
+      samples += windows[w].samples.size();
+    }
+    EXPECT_EQ(windows.front().start, 0u);
+    EXPECT_EQ(windows.back().end, 10u);
+    EXPECT_EQ(samples, trace.samples.size());
+  }
+}
+
+TEST(CycleWindows, CountsThatCannotTileTheSpanAreUsageErrors) {
+  const Trace trace = trace_through_cycle(9);  // span 10
+  // 0 windows; more windows than cycles; and 6 or 7 equal windows, whose
+  // 2-cycle width covers the span in 5 and would leave empty or inverted
+  // trailing windows.
+  for (const std::uint64_t count : {0ull, 6ull, 7ull, 11ull, 20ull,
+                                    1'000'000'000ull}) {
+    try {
+      split_trace_windows(trace, count);
+      ADD_FAILURE() << count << " windows accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUsage);
+      EXPECT_NE(std::string(e.what()).find("span of 10 cycles"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CycleWindows, WidthSplitKeepsOverflowInTheLastWindow) {
+  std::vector<MemorySample> samples(3);
+  samples[0].cycle = 0;
+  samples[1].cycle = 7;
+  samples[2].cycle = 50;  // past the span
+  const std::vector<CycleWindow> windows = split_cycle_windows(samples, 10, 4);
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[2].start, 8u);
+  EXPECT_EQ(windows[2].end, 10u);
+  EXPECT_EQ(windows[0].samples.size(), 1u);
+  EXPECT_EQ(windows[1].samples.size(), 1u);
+  EXPECT_EQ(windows[2].samples.size(), 1u);
+  EXPECT_THROW(split_cycle_windows(samples, 10, 0), Error);
 }
 
 }  // namespace

@@ -140,10 +140,7 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
   AddressSpace space(machine_);
   const auto run = bound_run(machine_, space, 2, 150'000, 42);
   core::AddressSpaceLocator locator(space);
-  AnalysisConfig config;
-  config.min_source_samples = 1;
-  config.min_remote_samples = 1;
-  const DrBw tool(machine_, always_rmc_model(), config);
+  const DrBw tool(machine_, always_rmc_model(), features::Gates{1, 1});
   const Report report = tool.analyze(run, locator);
   ASSERT_TRUE(report.rmc);  // always-rmc model ⇒ the diagnose stage ran
 
@@ -218,10 +215,7 @@ TEST_F(RegistryCoverageTest, DiagnoseCfFaultSiteFires) {
   AddressSpace space(machine_);
   const auto run = bound_run(machine_, space, 2, 100'000, 7);
   core::AddressSpaceLocator locator(space);
-  AnalysisConfig config;
-  config.min_source_samples = 1;
-  config.min_remote_samples = 1;
-  const DrBw tool(machine_, always_rmc_model(), config);
+  const DrBw tool(machine_, always_rmc_model(), features::Gates{1, 1});
 
   const ArmGuard guard("seed=1,diagnose.cf:fail:1");
   EXPECT_EQ(code_of([&] { (void)tool.analyze(run, locator); }),

@@ -323,5 +323,35 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_THROW(p.option_int("seed"), Error);
 }
 
+TEST(Cli, PositionalsInterleaveWithOptions) {
+  ArgParser p("prog", "test");
+  p.add_positionals("file", "inputs", 2, 3).add_option("out", "sink", "");
+  const char* argv[] = {"prog", "a", "--out=x", "b", "--out", "y", "c"};
+  ASSERT_TRUE(p.parse(7, argv));
+  EXPECT_EQ(p.positionals(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(p.option("out"), "y");
+  EXPECT_NE(p.usage().find("<file>..."), std::string::npos);
+}
+
+TEST(Cli, PositionalCountsOutsideTheRangeAreUsageErrors) {
+  const auto parse = [](std::vector<const char*> argv) {
+    ArgParser p("prog", "test");
+    p.add_positionals("dir", "a directory", 1, 1);
+    argv.insert(argv.begin(), "prog");
+    p.parse(static_cast<int>(argv.size()), argv.data());
+    return p.positionals();
+  };
+  EXPECT_EQ(parse({"only"}), std::vector<std::string>{"only"});
+  for (const auto& bad : {std::vector<const char*>{},
+                          std::vector<const char*>{"one", "two"}}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << bad.size() << " positionals accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUsage);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace drbw

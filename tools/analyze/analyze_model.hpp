@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "../lint/lint_rules.hpp"
+
 namespace drbw::analyze {
 
 /// One lexical token over the blanked source.  Literals and comments are
@@ -33,35 +35,15 @@ struct Token {
   std::size_t line = 0;  // 1-based
 };
 
-/// A "..." string literal (contents un-escaped only for \" and \\; registry
-/// names never need more).  Raw strings are captured whole.
-struct Literal {
-  std::string text;
-  std::size_t pos = 0;  // offset of the opening quote
-  std::size_t line = 0;
-};
-
-/// One #include directive.
-struct IncludeDirective {
-  std::string path;     // as written between the delimiters
-  bool angled = false;  // <...> vs "..."
-  std::size_t line = 0;
-};
-
+using Literal = lint::SourceText::Literal;
+using IncludeDirective = lint::SourceText::Include;
 /// One `// drbw-analyze: allow(<rule>) <reason>` annotation.
-struct Allow {
-  std::size_t line = 0;
-  std::string rule;
-  std::string reason;  // trimmed; empty = missing
-};
+using Allow = lint::SourceText::Allow;
 
-/// A fully lexed translation unit.
-struct Lexed {
-  std::string blanked;  // comments + literal bodies blanked to spaces
+/// A fully lexed translation unit: drbw_lint's lexer output (blanked text,
+/// literals, includes, allows) plus the token stream over it.
+struct Lexed : lint::SourceText {
   std::vector<Token> tokens;
-  std::vector<Literal> literals;
-  std::vector<IncludeDirective> includes;
-  std::vector<Allow> allows;
 };
 
 /// Lexes one file: blanks comments / string / char literals (raw strings and

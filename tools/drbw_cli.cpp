@@ -1,129 +1,34 @@
-// drbw — the command-line front-end to the DR-BW reproduction.
+// drbw — the command-line front-end to the DR-BW reproduction.  It parses
+// arguments and dispatches to the library; `drbw <subcommand> --help` lists
+// every option and README.md walks through each workflow.
 //
-//   drbw train    [--seed N] [--out model.json]
-//       Collect the Table II mini-program runs and train the classifier.
+//   train      train the classifier on the Table II mini-program runs
+//   record     run a proxy benchmark with DR-BW attached, write its trace
+//   analyze    per-channel verdicts, Contribution Fractions, advice
+//   explain    per-window decision paths, confidence, attribution
+//   serve      replay a trace through the online serving loop
+//   convert    re-encode a trace (csv <-> binary, shard or unshard)
+//   inspect    pretty-print a trained model (Fig. 3 style)
+//   topology   describe a simulated machine and its channels
+//   stats      render a --trace-out timeline (--serve: a serve snapshot's)
+//   doctor     diagnose a previous run from its manifest and flight dump
+//   perf diff  compare run manifests' spans and counters
+//   fleet      aggregate a tree of run dirs
+//   flame      fold a run's spans into a collapsed-stack profile
 //
-//   drbw record   --benchmark NAME [--input I] [--config Tt-Nn]
-//                 [--placement original|interleave|colocate|replicate]
-//                 [--out trace.csv] [--seed N] [--format csv|binary]
-//                 [--shards N] [--jobs N]
-//       Run a proxy benchmark on the simulated machine with DR-BW attached
-//       and write the PEBS sample trace + allocation events.  --format
-//       binary writes the compact v3 body (10-100x faster to load);
-//       --shards N splits the trace into N per-worker artifacts behind a
-//       shard-set index at --out, written in parallel across --jobs.
-//
-//   drbw analyze  --trace trace.csv [--model model.json] [--windows N]
-//                 [--jobs N] [--expect-trace-version V]
-//       Offline analysis of a recorded trace: per-channel verdicts,
-//       Contribution Fractions, and optimization advice.  Sharded sets are
-//       detected from the index header and loaded across --jobs workers
-//       (the merged trace is byte-identical at any value).
-//       --expect-trace-version V rejects artifacts newer than vV with the
-//       version-skew exit code (69).  NOTE: offline page-home lookups need
-//       the recording address space, so analyze re-materializes the
-//       benchmark's layout from the trace's allocation events
-//       (bind-to-node-0 fallback for unknown ranges).
-//
-//   drbw explain  --trace trace.csv [--model model.json] [--windows N]
-//                 [--out explain.json] [--report FILE] [--jobs N]
-//       Model observability for a recorded trace: every windowed channel
-//       verdict comes back with its exact decision path through the tree,
-//       a leaf-purity confidence score, and Saabas-style per-feature
-//       attribution.  Writes a checksummed `#drbw-explain v1` JSON artifact
-//       (decision-path frequency and attribution aggregates included) and,
-//       with --report, a per-window Markdown report.  Byte-identical at any
-//       --jobs value.
-//
-//   drbw serve    --replay trace.csv [--model model.json] [--clients N]
-//                 [--queue-depth D] [--overload block|shed-oldest|reject]
-//                 [--window-cycles W] [--drain-rate R] [--max-cycles C]
-//                 [--max-retries K] [--breaker-threshold K]
-//                 [--snapshot-out FILE] [--snapshot-every N]
-//                 [--drift-threshold F] [--jobs N]
-//       Online contention detection: replay a recorded trace as N simulated
-//       client streams through bounded ingest queues, sliding-window
-//       featurization, and incremental classification.  Overload behaviour
-//       is an explicit policy; failed operations retry with deterministic
-//       backoff and a circuit breaker quarantines misbehaving clients.
-//       With a missing/corrupt --model the server degrades to pass-through
-//       telemetry and still exits 0 (the manifest records degraded=true).
-//       A checksummed serve_snapshot.json lands in --run-dir either way.
-//       Models saved at format v3 embed their training distribution; the
-//       server then measures per-client PSI drift against it, records a
-//       windowed contention timeline in the snapshot, and --drift-threshold
-//       F marks the run drift-suspected (typed, never fatal — the manifest
-//       records drift="suspected" and `drbw doctor` surfaces it).  Older
-//       models still serve with drift reported unavailable.
-//
-//   drbw convert  --in trace.csv --out trace.bin [--format csv|binary]
-//                 [--shards N] [--jobs N]
-//       Re-encode a trace artifact: csv <-> binary, shard or unshard.  The
-//       loaded records round-trip exactly, so converting down to csv v2 is
-//       the escape hatch for consumers pinned to the older format.
-//
-//   drbw inspect  --model model.json
-//       Pretty-print a trained model (Fig. 3 style).
-//
-//   drbw topology [--machine xeon|opteron]
-//       Print the machine description and channel table.
-//
-//   drbw stats    --trace obs_trace.json [--width N] [--top N] [--serve]
-//       Render the per-epoch channel-utilization ASCII timeline from a trace
-//       produced with --trace-out.  With --serve the input is a
-//       serve_snapshot.json instead and the windowed contention timeline is
-//       rendered (classified-rmc fraction, confidence p50, drift score).
-//
-//   drbw doctor   [run-dir]
-//       Post-mortem: load the run manifest (run.json) and flight dump
-//       (flight.log) a previous run left in run-dir and print a ranked
-//       diagnosis.  Diagnosing a failed run successfully exits 0.
-//
-//   drbw perf diff <baseline/run.json> <after/run.json>... [--threshold F]
-//       Compare span statistics and metric counters between run manifests:
-//       the first is the baseline, every following manifest is diffed
-//       against it.  Exits 3 when any comparison regressed past the
-//       threshold (default 0.25 = +25%), which CI uses as a perf gate.
-//
-//   drbw fleet <root-dir> [--baseline run.json] [--threshold F]
-//              [--filter status=ok|failed] [--top N] [--jobs N]
-//              [--out report.md] [--json-out report.json]
-//              [--flame-out profile.folded]
-//       Aggregate every run dir under root-dir (recursively) into a fleet
-//       report: outcome histogram, span-time distributions, fault-fire and
-//       quarantine tallies; corrupt manifests are quarantined into the
-//       report, never fatal.  --baseline perf-diffs every passing run
-//       against the given manifest and exits 3 when any regresses;
-//       --flame-out merges every run's flight.log spans into one
-//       collapsed-stack profile.  All outputs are byte-identical at any
-//       --jobs value.
-//
-//   drbw flame <run-dir|trace> [--out FILE]
-//       Fold one run's deterministic spans into collapsed-stack format
-//       (`stage;substage;span weight` — what flamegraph.pl and speedscope
-//       ingest).  A directory folds its flight.log; a file is either a
-//       flight dump or a trace_event JSON from --trace-out.
-//
-// train/record/analyze/serve additionally accept --trace-out FILE (Chrome
-// trace_event JSON), --metrics-out FILE (.json => JSON, else Prometheus
-// text), --timing sim|wall (wall-clock span durations; marks the trace
-// non-golden), --inject-faults SPEC (deterministic fault injection,
-// grammar: seed=N,site:kind:rate,...), and --run-dir DIR (where the run
-// manifest `run.json` and flight dump `flight.log` land; default ".").
-// analyze also accepts --load-mode strict|lenient and --max-bad-fraction F
-// (lenient loads quarantine malformed trace records and escalate past the
-// cap).
-//
-// Every train/record/analyze run leaves a provenance manifest behind, and on
-// any typed failure the flight recorder's last events are dumped next to it
-// before the process exits — `drbw doctor` turns the pair into a diagnosis.
+// The pipeline subcommands (train/record/analyze/explain/serve) run inside a
+// RunSession: --trace-out/--metrics-out/--timing sinks, --inject-faults, and
+// a run manifest (run.json) plus flight dump (flight.log) in --run-dir,
+// written even when the run fails so `drbw doctor` can diagnose it.  Every
+// artifact is byte-identical at any --jobs value.
 //
 // Exit codes: 0 success, 1 runtime error, 2 analyze found contention,
 // 3 perf diff found a regression, 64 malformed arguments, 65 unknown
 // subcommand, 66 missing input file, 67 parse error, 68 corrupt artifact,
 // 69 artifact version skew, 70 injected fault, 74 I/O error.
 #include <algorithm>
-#include <cmath>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -139,6 +44,7 @@
 #include "drbw/obs/trace.hpp"
 #include "drbw/pebs/trace_io.hpp"
 #include "drbw/obs/flame.hpp"
+#include "drbw/report/explain.hpp"
 #include "drbw/report/fleet.hpp"
 #include "drbw/report/markdown.hpp"
 #include "drbw/report/postmortem.hpp"
@@ -148,7 +54,6 @@
 #include "drbw/util/cli.hpp"
 #include "drbw/util/json.hpp"
 #include "drbw/util/strings.hpp"
-#include "drbw/util/task_pool.hpp"
 #include "drbw/util/table.hpp"
 #include "drbw/workloads/evaluation.hpp"
 #include "drbw/workloads/suite.hpp"
@@ -170,12 +75,16 @@ constexpr int kExitPerfRegression = 3;   // perf diff crossed the threshold
 constexpr std::size_t kFlightCapacity = 65536;
 
 /// Provenance plumbing shared by the pipeline subcommands (train / record /
-/// analyze).  Owns what ObsSinks + FaultOptions used to: the
-/// --trace-out/--metrics-out/--timing sinks and the --inject-faults arming —
-/// plus the run manifest and flight recorder lifecycle:
+/// analyze / explain / serve): the --trace-out/--metrics-out/--timing sinks,
+/// the --inject-faults arming, the trace and model inputs, and the run
+/// manifest and flight recorder lifecycle:
 ///
 ///   begin()    arms trace/flight/fault sinks before any pipeline work
 ///   stage(s)   leaves a "stage" breadcrumb in the flight ring
+///   load_trace / load_model
+///              the one input step: fail-fast checks, input provenance,
+///              load stats recorded even when the load fails
+///   run(body)  runs the subcommand; an escaping exception goes to fail()
 ///   finish(c)  writes sinks, then flight.log, then run.json *last* — a
 ///              manifest on disk always describes a finished run
 ///   fail(e)    records the outcome, disarms the injector (so the post-
@@ -206,6 +115,29 @@ struct RunSession {
                       "directory for the run manifest (run.json) and flight "
                       "dump (flight.log)",
                       ".");
+  }
+
+  /// --load-mode / --max-bad-fraction for the trace-reading subcommands.
+  static void add_load_options(ArgParser& parser) {
+    parser.add_option("load-mode",
+                      "strict (reject the first malformed record) | lenient "
+                      "(quarantine malformed records, escalate past "
+                      "--max-bad-fraction)",
+                      "strict");
+    parser.add_option("max-bad-fraction",
+                      "lenient only: tolerated quarantined/seen record "
+                      "fraction before the load fails as corrupt",
+                      "0.25");
+  }
+
+  /// The --load-mode policy; a malformed value is a usage error.
+  static util::LoadPolicy load_policy(const ArgParser& parser) {
+    try {
+      return util::load_policy_from_name(
+          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
+    } catch (const Error& e) {
+      throw UsageError(std::string("--load-mode: ") + e.what());
+    }
   }
 
   RunSession(std::string subcommand, const ArgParser& parser)
@@ -296,12 +228,44 @@ struct RunSession {
     manifest_.model_splits = std::move(splits);
   }
 
-  void set_load_stats(const util::LoadStats& stats) {
-    manifest_.has_load_stats = true;
-    manifest_.records_seen = stats.records_seen;
-    manifest_.records_ok = stats.records_ok;
-    manifest_.records_quarantined = stats.records_quarantined;
-    manifest_.checksum_ok = stats.checksum_ok;
+  /// Loads the trace at `path`.  Fails fast (exit 66) when the trace or a
+  /// non-empty `model` path is missing, before any parsing or training.  A
+  /// sharded trace is many artifacts: the manifest lists the index first,
+  /// then every shard, each content-identified (index-ordered, so golden).
+  /// The load stats land in the manifest even when the load escalates —
+  /// the quarantine tally at the moment of failure is what `drbw doctor`
+  /// needs.
+  pebs::Trace load_trace(const std::string& path, const std::string& model,
+                         const pebs::LoadOptions& load) {
+    util::require_input_file(path, "trace file");
+    if (!model.empty()) util::require_input_file(model, "model file");
+    const std::vector<std::string> files = pebs::trace_artifact_paths(path);
+    note_input("trace-in", files.front());
+    for (std::size_t i = 1; i < files.size(); ++i) {
+      note_input("trace-shard-in", files[i]);
+    }
+    pebs::Trace trace;
+    try {
+      trace = pebs::load_trace(path, load, &load_stats_);
+    } catch (...) {
+      record_load_stats();
+      throw;
+    }
+    record_load_stats();
+    return trace;
+  }
+
+  const util::LoadStats& load_stats() const { return load_stats_; }
+
+  /// The --model classifier, noted as an input; trained in-process when
+  /// --model is empty.
+  ml::Classifier load_model(const topology::Machine& machine,
+                            const util::LoadPolicy& policy) {
+    const std::string& path = parser_.option("model");
+    if (path.empty()) return workloads::train_default_classifier(machine);
+    ml::Classifier model = ml::Classifier::load(path, policy);
+    note_input("model-in", path);
+    return model;
   }
 
   /// Success path: trace/metrics sinks, then flight.log, then run.json.
@@ -329,6 +293,19 @@ struct RunSession {
     return exit_code;
   }
 
+  /// Runs a subcommand body (which returns finish(code)); an escaping
+  /// exception ends the run through fail().
+  template <typename Body>
+  int run(Body&& body) {
+    try {
+      return body();
+    } catch (const Error& e) {
+      return fail(e);
+    } catch (const std::exception& e) {
+      return fail(Error(e.what()));
+    }
+  }
+
   /// Failure path: record the outcome, disarm the injector, dump what we
   /// can.  The exit code is exactly what the error would have produced had
   /// it reached main()'s catch block.
@@ -345,6 +322,14 @@ struct RunSession {
  private:
   std::string manifest_path() const {
     return run_dir_ + "/" + obs::kManifestFileName;
+  }
+
+  void record_load_stats() {
+    manifest_.has_load_stats = true;
+    manifest_.records_seen = load_stats_.records_seen;
+    manifest_.records_ok = load_stats_.records_ok;
+    manifest_.records_quarantined = load_stats_.records_quarantined;
+    manifest_.checksum_ok = load_stats_.checksum_ok;
   }
 
   /// Content-identifies an artifact: its own `#drbw-*` header when it has a
@@ -405,6 +390,7 @@ struct RunSession {
 
   const ArgParser& parser_;
   obs::RunManifest manifest_;
+  util::LoadStats load_stats_;
   std::string run_dir_ = ".";
   bool begun_ = false;
 };
@@ -433,6 +419,32 @@ workloads::PlacementMode parse_placement(const std::string& name) {
   throw Error("unknown placement '" + name + "'");
 }
 
+/// An integer option in [min, max]; anything else, an empty value
+/// included, is a usage error.
+long long int_option(const ArgParser& parser, const std::string& name,
+                     long long min, long long max = LLONG_MAX) {
+  const std::string& raw = parser.option(name);
+  if (raw.empty() || parser.option_int(name) < min ||
+      parser.option_int(name) > max) {
+    throw UsageError("--" + name + " must be " +
+                     (max == LLONG_MAX ? ">= " + std::to_string(min)
+                                       : "between " + std::to_string(min) +
+                                             " and " + std::to_string(max)) +
+                     ", got '" + raw + "'");
+  }
+  return parser.option_int(name);
+}
+
+/// A number option >= 0; anything else, an empty value included, is a
+/// usage error.
+double non_negative_option(const ArgParser& parser, const std::string& name) {
+  const std::string& raw = parser.option(name);
+  if (raw.empty() || parser.option_double(name) < 0.0) {
+    throw UsageError("--" + name + " must be >= 0, got '" + raw + "'");
+  }
+  return parser.option_double(name);
+}
+
 int cmd_train(int argc, char** argv) {
   ArgParser parser("drbw train", "Train the bandwidth-contention classifier");
   parser.add_option("seed", "training seed", "2017");
@@ -446,7 +458,7 @@ int cmd_train(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("train", parser);
   session.begin();
-  try {
+  return session.run([&] {
     session.stage("train");
     const auto machine = machine_by_name(parser.option("machine"));
     DRBW_CHECK_MSG(parser.option("machine") == "xeon",
@@ -480,11 +492,7 @@ int cmd_train(int argc, char** argv) {
               << shape.str() << "\n\n"
               << model.describe();
     return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+  });
 }
 
 int cmd_record(int argc, char** argv) {
@@ -511,7 +519,7 @@ int cmd_record(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("record", parser);
   session.begin();
-  try {
+  return session.run([&] {
     session.stage("build");
     const auto machine = topology::Machine::xeon_e5_4650();
     const auto bench =
@@ -529,14 +537,8 @@ int cmd_record(int argc, char** argv) {
     session.stage("persist");
     pebs::SaveOptions save;
     save.format = pebs::trace_format_from_name(parser.option("format"));
-    const long long shards = parser.option_int("shards");
-    if (shards < 1 ||
-        shards > static_cast<long long>(pebs::kMaxTraceShards)) {
-      throw UsageError("--shards must be between 1 and " +
-                       std::to_string(pebs::kMaxTraceShards) + ", got '" +
-                       parser.option("shards") + "'");
-    }
-    save.shards = static_cast<std::size_t>(shards);
+    save.shards = static_cast<std::size_t>(
+        int_option(parser, "shards", 1, pebs::kMaxTraceShards));
     save.jobs = static_cast<int>(parser.option_int("jobs"));
     const std::vector<std::string> written = pebs::save_trace(
         parser.option("out"), {run.alloc_events, run.samples}, save);
@@ -554,11 +556,7 @@ int cmd_record(int argc, char** argv) {
     }
     std::cout << ")\n";
     return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+  });
 }
 
 int cmd_analyze(int argc, char** argv) {
@@ -567,15 +565,7 @@ int cmd_analyze(int argc, char** argv) {
   parser.add_option("model", "trained model (empty = train now)", "");
   parser.add_option("windows", "split the run into N time windows", "1");
   parser.add_option("report", "also write a Markdown report here", "");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  RunSession::add_load_options(parser);
   parser.add_option("jobs",
                     "parallel shard readers for sharded traces (0 = one per "
                     "hardware thread); the merged trace is identical at any "
@@ -589,54 +579,17 @@ int cmd_analyze(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("analyze", parser);
   session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
     pebs::LoadOptions load;
-    load.policy = policy;
+    load.policy = RunSession::load_policy(parser);
     load.jobs = static_cast<int>(parser.option_int("jobs"));
-    const long long expect = parser.option_int("expect-trace-version");
-    if (expect < 0 || expect > pebs::kTraceVersion) {
-      throw UsageError("--expect-trace-version must be between 0 and " +
-                       std::to_string(pebs::kTraceVersion) + ", got '" +
-                       parser.option("expect-trace-version") + "'");
-    }
+    const long long expect =
+        int_option(parser, "expect-trace-version", 0, pebs::kTraceVersion);
     if (expect > 0) load.max_version = static_cast<int>(expect);
-    // Fail fast on missing inputs (exit 66 with a sibling hint) before any
-    // model training or trace parsing happens.
-    util::require_input_file(parser.option("trace"), "trace file");
-    if (!parser.option("model").empty()) {
-      util::require_input_file(parser.option("model"), "model file");
-    }
-    // A sharded trace is many artifacts; the manifest lists the index first
-    // and then every shard, each content-identified, so provenance covers
-    // the whole set (and the listing is index-ordered, hence golden).
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("trace"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-
-    const auto machine = topology::Machine::xeon_e5_4650();
-    // load_trace fills the stats incrementally, so record them in the
-    // manifest even when the load escalates — the quarantine tally at the
-    // moment of failure is exactly what `drbw doctor` needs.
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("trace"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
+    const pebs::Trace trace =
+        session.load_trace(parser.option("trace"), parser.option("model"), load);
+    const util::LoadStats& load_stats = session.load_stats();
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events";
     if (load_stats.records_quarantined > 0 || !load_stats.checksum_ok) {
@@ -645,22 +598,22 @@ int cmd_analyze(int argc, char** argv) {
                 << (load_stats.checksum_ok ? "" : ", checksum FAILED") << ")";
     }
     std::cout << '\n';
+    const auto windows = parser.option_int("windows");
+    const std::vector<pebs::CycleWindow> cut =
+        windows > 1 ? pebs::split_trace_windows(
+                          trace, static_cast<std::uint64_t>(windows))
+                    : std::vector<pebs::CycleWindow>{};
 
     session.stage("classify");
-    const ml::Classifier model =
-        parser.option("model").empty()
-            ? workloads::train_default_classifier(machine)
-            : ml::Classifier::load(parser.option("model"), policy);
-    if (!parser.option("model").empty()) {
-      session.note_input("model-in", parser.option("model"));
-    }
+    const auto machine = topology::Machine::xeon_e5_4650();
+    const ml::Classifier model = session.load_model(machine, load.policy);
     const DrBw tool(machine, model);
-
+    // Offline page-home lookups replay the trace's allocation events
+    // (bind-to-node-0 fallback for unknown ranges).
     core::MasterNodeLocator locator;
-    core::Profiler profiler(machine, locator);
 
-    const auto windows = parser.option_int("windows");
     if (windows <= 1) {
+      core::Profiler profiler(machine, locator);
       const Report report =
           tool.analyze_profile(profiler.profile(trace.events, trace.samples));
       std::cout << report.to_string(machine);
@@ -680,18 +633,9 @@ int cmd_analyze(int argc, char** argv) {
       return session.finish(report.rmc ? 2 : 0);  // exit signals the verdict
     }
 
-    // Windowed: derive the span from the sample timestamps.
     session.stage("windows");
-    std::uint64_t last_cycle = 0;
-    for (const auto& s : trace.samples) last_cycle = std::max(last_cycle, s.cycle);
-    const std::uint64_t window =
-        std::max<std::uint64_t>(1, last_cycle / static_cast<std::uint64_t>(windows) + 1);
-    sim::RunResult pseudo;
-    pseudo.total_cycles = last_cycle + 1;
-    pseudo.samples = trace.samples;
-    pseudo.alloc_events = trace.events;
     bool any = false;
-    for (const auto& v : tool.analyze_windows(pseudo, locator, window)) {
+    for (const auto& v : tool.analyze_windows(trace.events, cut, locator)) {
       std::cout << "[" << v.start_cycle << ", " << v.end_cycle << ") "
                 << v.samples << " samples: "
                 << (v.rmc ? "RMC" : "good");
@@ -700,21 +644,7 @@ int cmd_analyze(int argc, char** argv) {
       any |= v.rmc;
     }
     return session.finish(any ? 2 : 0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
-}
-
-/// Version of the `#drbw-explain` JSON artifact.
-constexpr int kExplainVersion = 1;
-
-/// Lower-median (nearest-rank) over an unsorted copy.
-double lower_median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[(values.size() - 1) / 2];
+  });
 }
 
 int cmd_explain(int argc, char** argv) {
@@ -728,15 +658,7 @@ int cmd_explain(int argc, char** argv) {
                     "explain.json");
   parser.add_option("report", "also write a per-window Markdown report here",
                     "");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  RunSession::add_load_options(parser);
   parser.add_option("jobs",
                     "parallel window explainers (0 = one per hardware "
                     "thread); every artifact is byte-identical at any value",
@@ -745,283 +667,50 @@ int cmd_explain(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("explain", parser);
   session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
-    const long long windows_opt = parser.option_int("windows");
-    if (windows_opt < 1) {
-      throw UsageError("--windows must be >= 1, got '" +
-                       parser.option("windows") + "'");
-    }
-    const std::size_t windows = static_cast<std::size_t>(windows_opt);
     pebs::LoadOptions load;
-    load.policy = policy;
+    load.policy = RunSession::load_policy(parser);
+    const long long windows = int_option(parser, "windows", 1);
     load.jobs = static_cast<int>(parser.option_int("jobs"));
-    util::require_input_file(parser.option("trace"), "trace file");
-    if (!parser.option("model").empty()) {
-      util::require_input_file(parser.option("model"), "model file");
-    }
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("trace"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("trace"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
+    const pebs::Trace trace =
+        session.load_trace(parser.option("trace"), parser.option("model"), load);
+    const std::vector<pebs::CycleWindow> cut =
+        pebs::split_trace_windows(trace, static_cast<std::uint64_t>(windows));
 
     const auto machine = topology::Machine::xeon_e5_4650();
-    const ml::Classifier model =
-        parser.option("model").empty()
-            ? workloads::train_default_classifier(machine)
-            : ml::Classifier::load(parser.option("model"), policy);
-    if (!parser.option("model").empty()) {
-      session.note_input("model-in", parser.option("model"));
-    }
+    const ml::Classifier model = session.load_model(machine, load.policy);
 
     session.stage("explain");
-    // Bucket the samples into cycle windows (analyze's windowing), then
-    // explain each window's channels in an indexed fan-out; everything below
-    // aggregates in window order, so every artifact is golden at any --jobs.
-    std::uint64_t last_cycle = 0;
-    for (const auto& s : trace.samples) {
-      last_cycle = std::max(last_cycle, s.cycle);
-    }
-    const std::uint64_t window_cycles = std::max<std::uint64_t>(
-        1, last_cycle / static_cast<std::uint64_t>(windows) + 1);
-    std::vector<std::vector<pebs::MemorySample>> buckets(windows);
-    for (const auto& s : trace.samples) {
-      buckets[std::min<std::size_t>(windows - 1, s.cycle / window_cycles)]
-          .push_back(s);
-    }
-    core::MasterNodeLocator locator;
-    struct Verdict {
-      std::string channel;
-      ml::Explanation exp;
-    };
-    struct WindowSlot {
-      std::vector<Verdict> verdicts;
-    };
-    std::vector<WindowSlot> slots(windows);
-    {
-      obs::Span explain_span("explain");
-      util::TaskPool pool(static_cast<int>(parser.option_int("jobs")));
-      pool.parallel_for(windows, [&](std::size_t w) {
-        if (buckets[w].empty()) return;
-        core::Profiler profiler(machine, locator);
-        const core::ProfileResult profile =
-            profiler.profile(trace.events, buckets[w]);
-        for (const features::ChannelFeatures& ch :
-             features::extract_channels(profile, machine)) {
-          // The serve loop's sparse-window guards: a nearly-empty channel
-          // scope yields all-zero features whose "verdict" explains nothing.
-          if (ch.features.scope_samples < 8) continue;
-          if (ch.features.values[5] < 2.0) continue;
-          slots[w].verdicts.push_back(Verdict{
-              machine.channel_name(ch.channel),
-              model.predict_explained(ch.features.as_row())});
-        }
-      });
-    }
-
-    // Serial aggregation: per-window verdict rows, decision-path frequency,
-    // and per-feature attribution sums.
-    const std::array<std::string, features::kNumSelected>& keys =
-        features::selected_feature_keys();
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> paths;
-    std::vector<double> attr_sum(model.feature_names().size(), 0.0);
-    std::vector<double> attr_abs(model.feature_names().size(), 0.0);
-    std::vector<double> confidences;
-    std::uint64_t rows = 0, rmc_rows = 0;
-    std::uint64_t windows_explained = 0, windows_rmc = 0;
-    auto& conf_hist = obs::Registry::global().histogram(
-        "drbw_model_confidence_bucket",
-        "Per-window classification confidence (leaf purity, percent)",
-        {50, 60, 70, 80, 90, 95, 100});
-    for (const WindowSlot& slot : slots) {
-      if (slot.verdicts.empty()) continue;
-      ++windows_explained;
-      bool window_rmc = false;
-      for (const Verdict& v : slot.verdicts) {
-        ++rows;
-        const bool is_rmc = v.exp.label == ml::Label::kRmc;
-        if (is_rmc) {
-          ++rmc_rows;
-          window_rmc = true;
-        }
-        confidences.push_back(v.exp.confidence);
-        conf_hist.observe(
-            static_cast<std::uint64_t>(v.exp.confidence * 100.0 + 0.5));
-        auto& tally = paths[v.exp.path_signature()];
-        ++tally.first;
-        if (is_rmc) ++tally.second;
-        for (std::size_t f = 0; f < v.exp.attributions.size(); ++f) {
-          attr_sum[f] += v.exp.attributions[f];
-          attr_abs[f] += std::abs(v.exp.attributions[f]);
-        }
-      }
-      if (window_rmc) ++windows_rmc;
-    }
-    const double confidence_p50 = lower_median(confidences);
-    const double confidence_min =
-        confidences.empty()
-            ? 0.0
-            : *std::min_element(confidences.begin(), confidences.end());
-
-    // The `#drbw-explain v1` artifact: golden-vs-context split like the
-    // manifest, but nothing here depends on --jobs, so the whole document
-    // (and its header checksum) is byte-identical at any value.
-    Json golden = JsonObject{};
-    Json summary = JsonObject{};
-    summary.set("windows", windows);
-    summary.set("windows_explained", windows_explained);
-    summary.set("windows_rmc", windows_rmc);
-    summary.set("rows", rows);
-    summary.set("rmc_rows", rmc_rows);
-    summary.set("confidence_p50", confidence_p50);
-    summary.set("confidence_min", confidence_min);
-    golden.set("summary", std::move(summary));
-    Json window_list = JsonArray{};
-    for (std::size_t w = 0; w < windows; ++w) {
-      Json entry = JsonObject{};
-      entry.set("window", w);
-      entry.set("start", w * window_cycles);
-      entry.set("end", std::min<std::uint64_t>(last_cycle + 1,
-                                               (w + 1) * window_cycles));
-      entry.set("samples", buckets[w].size());
-      Json verdicts = JsonArray{};
-      for (const Verdict& v : slots[w].verdicts) {
-        Json row = JsonObject{};
-        row.set("channel", v.channel);
-        row.set("label", v.exp.label == ml::Label::kRmc ? "rmc" : "good");
-        row.set("confidence", v.exp.confidence);
-        row.set("path", v.exp.path_signature());
-        row.set("leaf", v.exp.leaf);
-        verdicts.push_back(std::move(row));
-      }
-      entry.set("verdicts", std::move(verdicts));
-      window_list.push_back(std::move(entry));
-    }
-    golden.set("windows", std::move(window_list));
-    // Path frequency: most common first, signature as the tie-break.
-    std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
-        ranked(paths.begin(), paths.end());
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto& a, const auto& b) {
-                       if (a.second.first != b.second.first) {
-                         return a.second.first > b.second.first;
-                       }
-                       return a.first < b.first;
-                     });
-    Json path_list = JsonArray{};
-    for (const auto& [signature, tally] : ranked) {
-      Json entry = JsonObject{};
-      entry.set("signature", signature);
-      entry.set("count", tally.first);
-      entry.set("rmc", tally.second);
-      path_list.push_back(std::move(entry));
-    }
-    golden.set("paths", std::move(path_list));
-    Json attribution_list = JsonArray{};
-    for (std::size_t f = 0; f < attr_sum.size(); ++f) {
-      Json entry = JsonObject{};
-      entry.set("feature", f < keys.size() ? keys[f]
-                                           : model.feature_names()[f]);
-      entry.set("mean", rows > 0 ? attr_sum[f] / static_cast<double>(rows)
-                                 : 0.0);
-      entry.set("mean_abs",
-                rows > 0 ? attr_abs[f] / static_cast<double>(rows) : 0.0);
-      attribution_list.push_back(std::move(entry));
-    }
-    golden.set("attributions", std::move(attribution_list));
-    Json context = JsonObject{};
-    context.set("trace", parser.option("trace"));
-    context.set("model", parser.option("model").empty()
-                             ? "(trained in-process)"
-                             : parser.option("model"));
-    Json doc = JsonObject{};
-    doc.set("drbw_explain", kExplainVersion);
-    doc.set("golden", std::move(golden));
-    doc.set("context", std::move(context));
+    const report::ExplainResult result = report::explain_windows(
+        machine, model, trace.events, cut,
+        static_cast<int>(parser.option_int("jobs")));
 
     session.stage("persist");
-    util::write_versioned_artifact(parser.option("out"), "explain",
-                                   kExplainVersion, doc.dump(2) + "\n");
+    util::write_versioned_artifact(
+        parser.option("out"), "explain", report::kExplainVersion,
+        report::explain_json(result, machine, parser.option("trace"),
+                             parser.option("model")));
     session.note_output("explain-out", parser.option("out"));
-
     if (!parser.option("report").empty()) {
-      std::ostringstream md;
-      md << "# DR-BW explain report\n\n`" << parser.option("trace") << "` vs "
-         << (parser.option("model").empty()
-                 ? std::string("an in-process model")
-                 : "`" + parser.option("model") + "`")
-         << ": " << windows_explained << " of " << windows
-         << " window(s) explained, " << rows << " channel verdict(s) ("
-         << rmc_rows << " rmc), confidence p50 "
-         << format_fixed(confidence_p50, 3) << ", min "
-         << format_fixed(confidence_min, 3) << "\n";
-      md << "\n## Decision paths\n\n| path | count | rmc |\n|---|---:|---:|\n";
-      for (const auto& [signature, tally] : ranked) {
-        md << "| `" << signature << "` | " << tally.first << " | "
-           << tally.second << " |\n";
-      }
-      md << "\n## Feature attribution (mean delta-P(rmc) per verdict)\n\n"
-            "| feature | mean | mean abs |\n|---|---:|---:|\n";
-      for (std::size_t f = 0; f < attr_sum.size(); ++f) {
-        const double denom = rows > 0 ? static_cast<double>(rows) : 1.0;
-        md << "| " << (f < keys.size() ? keys[f] : model.feature_names()[f])
-           << " | " << format_fixed(attr_sum[f] / denom, 4) << " | "
-           << format_fixed(attr_abs[f] / denom, 4) << " |\n";
-      }
-      md << "\n## Windows\n";
-      for (std::size_t w = 0; w < windows; ++w) {
-        md << "\n### window " << w << " [" << w * window_cycles << ", "
-           << std::min<std::uint64_t>(last_cycle + 1, (w + 1) * window_cycles)
-           << ") — " << buckets[w].size() << " sample(s)\n\n";
-        if (slots[w].verdicts.empty()) {
-          md << "no explainable channel (sparse window)\n";
-          continue;
-        }
-        md << "| channel | verdict | confidence | path |\n"
-              "|---|---|---:|---|\n";
-        for (const Verdict& v : slots[w].verdicts) {
-          md << "| " << v.channel << " | "
-             << (v.exp.label == ml::Label::kRmc ? "RMC" : "good") << " | "
-             << format_fixed(v.exp.confidence, 3) << " | `"
-             << v.exp.path_signature() << "` |\n";
-        }
-      }
-      report::write_file(parser.option("report"), md.str());
+      report::write_file(
+          parser.option("report"),
+          report::explain_markdown(result, machine, parser.option("trace"),
+                                   parser.option("model")));
       session.note_output("report-out", parser.option("report"));
       std::cout << "report written to " << parser.option("report") << '\n';
     }
 
-    std::cout << "explained " << rows << " channel verdict(s) across "
-              << windows_explained << " of " << windows << " window(s): "
-              << rmc_rows << " rmc, " << paths.size()
+    std::cout << "explained " << result.rows << " channel verdict(s) across "
+              << result.windows_explained << " of " << result.windows.size()
+              << " window(s): " << result.rmc_rows << " rmc, "
+              << result.paths.size()
               << " distinct decision path(s), confidence p50 "
-              << format_fixed(confidence_p50, 3) << '\n';
+              << format_fixed(result.confidence_p50, 3) << '\n';
     std::cout << "explain artifact written to " << parser.option("out")
               << '\n';
     return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+  });
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -1077,15 +766,7 @@ int cmd_serve(int argc, char** argv) {
                     "F (0 = never flag; needs a baseline-carrying v3 model; "
                     "typed, never fatal)",
                     "0");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  RunSession::add_load_options(parser);
   parser.add_option("jobs",
                     "parallel window classifiers (0 = one per hardware "
                     "thread); snapshots, metrics, and the manifest are "
@@ -1095,33 +776,19 @@ int cmd_serve(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("serve", parser);
   session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
+    pebs::LoadOptions load;
+    load.policy = RunSession::load_policy(parser);
     serve::ServeOptions opts;
     try {
       opts.overload = serve::overload_policy_from_name(parser.option("overload"));
     } catch (const Error& e) {
       throw UsageError(std::string("--overload: ") + e.what());
     }
-    const long long clients = parser.option_int("clients");
-    if (clients < 1) {
-      throw UsageError("--clients must be >= 1, got '" +
-                       parser.option("clients") + "'");
-    }
-    opts.clients = static_cast<std::uint32_t>(clients);
-    const long long depth = parser.option_int("queue-depth");
-    if (depth < 1) {
-      throw UsageError("--queue-depth must be >= 1, got '" +
-                       parser.option("queue-depth") + "'");
-    }
-    opts.queue_depth = static_cast<std::size_t>(depth);
+    opts.clients = static_cast<std::uint32_t>(int_option(parser, "clients", 1));
+    opts.queue_depth =
+        static_cast<std::size_t>(int_option(parser, "queue-depth", 1));
     opts.window_cycles =
         static_cast<std::uint64_t>(parser.option_int("window-cycles"));
     opts.drain_per_tick =
@@ -1138,11 +805,7 @@ int cmd_serve(int argc, char** argv) {
         std::max<long long>(1, parser.option_int("breaker-threshold")));
     opts.snapshot_every =
         static_cast<std::uint64_t>(parser.option_int("snapshot-every"));
-    opts.drift_threshold = parser.option_double("drift-threshold");
-    if (opts.drift_threshold < 0.0) {
-      throw UsageError("--drift-threshold must be >= 0, got '" +
-                       parser.option("drift-threshold") + "'");
-    }
+    opts.drift_threshold = non_negative_option(parser, "drift-threshold");
     opts.jobs = static_cast<int>(parser.option_int("jobs"));
     std::string run_dir = parser.option("run-dir");
     if (run_dir.empty()) run_dir = ".";
@@ -1150,25 +813,9 @@ int cmd_serve(int argc, char** argv) {
                              ? run_dir + "/serve_snapshot.json"
                              : parser.option("snapshot-out");
 
-    pebs::LoadOptions load;
-    load.policy = policy;
     load.jobs = opts.jobs;
-    util::require_input_file(parser.option("replay"), "trace file");
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("replay"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("replay"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
+    const pebs::Trace trace =
+        session.load_trace(parser.option("replay"), "", load);
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events\n";
 
@@ -1182,7 +829,7 @@ int cmd_serve(int argc, char** argv) {
     } else {
       session.note_input("model-in", parser.option("model"));
       try {
-        model = ml::Classifier::load(parser.option("model"), policy);
+        model = ml::Classifier::load(parser.option("model"), load.policy);
       } catch (const Error& e) {
         std::cerr << "drbw serve: degraded to pass-through telemetry: "
                   << e.what() << '\n';
@@ -1243,18 +890,7 @@ int cmd_serve(int argc, char** argv) {
     // A degraded run still exits 0: serve is a telemetry loop, not a
     // verdict tool, and "kept serving without a model" is the contract.
     return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
-}
-
-const Json* find_member(const JsonObject& object, const std::string& key) {
-  for (const auto& [name, value] : object) {
-    if (name == key) return &value;
-  }
-  return nullptr;
+  });
 }
 
 /// `drbw stats --serve`: render the windowed contention timeline a v2 serve
@@ -1271,14 +907,13 @@ int stats_serve(const ArgParser& parser) {
                .body;
   }
   const Json root = Json::parse(body);
-  const JsonObject& fields = root.as_object();
-  const Json* version = find_member(fields, "drbw_serve_snapshot");
+  const Json* version = root.find("drbw_serve_snapshot");
   if (version == nullptr) {
     throw Error(path + ": not a serve snapshot (no drbw_serve_snapshot "
                        "field); `drbw serve` writes one at --snapshot-out",
                 ErrorCode::kParse);
   }
-  const Json* timeline = find_member(fields, "timeline");
+  const Json* timeline = root.find("timeline");
   if (timeline == nullptr || !timeline->is_array() ||
       timeline->as_array().empty()) {
     std::cout << "no contention timeline in " << path << " (v"
@@ -1293,9 +928,8 @@ int stats_serve(const ArgParser& parser) {
   std::uint64_t windows = 0, rmc = 0;
   double max_drift = 0.0;
   for (const Json& row : timeline->as_array()) {
-    const JsonObject& r = row.as_object();
     const auto num = [&](const char* key) {
-      const Json* node = find_member(r, key);
+      const Json* node = row.find(key);
       return node != nullptr ? node->as_number() : 0.0;
     };
     const double tick = num("tick");
@@ -1320,10 +954,9 @@ int stats_serve(const ArgParser& parser) {
             << timeline->as_array().size() << " row(s), " << windows
             << " classified window(s), " << rmc << " contended)\n\n"
             << chart.render();
-  if (const Json* drift = find_member(fields, "drift")) {
-    const JsonObject& d = drift->as_object();
+  if (const Json* drift = root.find("drift")) {
     const auto num = [&](const char* key) {
-      const Json* node = find_member(d, key);
+      const Json* node = drift->find(key);
       return node != nullptr ? node->as_number() : 0.0;
     };
     std::cout << "\ndrift: max score " << format_fixed(num("score"), 3)
@@ -1355,14 +988,13 @@ int cmd_stats(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   if (parser.flag("serve")) return stats_serve(parser);
 
-  const std::string content =
-      util::read_file_or_throw(parser.option("trace"), "trace file");
-  if (content.rfind("#drbw-serve-snapshot", 0) == 0) {
-    throw UsageError("drbw stats: '" + parser.option("trace") +
-                     "' is a serve snapshot, not a trace_event file — did "
-                     "you mean `drbw stats --serve --trace " +
-                     parser.option("trace") + "`?");
-  }
+  const std::string& path = parser.option("trace");
+  const UsageError serve_hint(
+      "drbw stats: '" + path +
+      "' is a serve snapshot, not a trace_event file — did you mean `drbw "
+      "stats --serve --trace " + path + "`?");
+  const std::string content = util::read_file_or_throw(path, "trace file");
+  if (content.rfind("#drbw-serve-snapshot", 0) == 0) throw serve_hint;
   const Json root = Json::parse(content);
 
   // Per-channel (epoch-start-cycle, utilization) series from the engine's
@@ -1370,24 +1002,18 @@ int cmd_stats(int argc, char** argv) {
   // stats works on traces from any subcommand.
   std::map<std::string, std::vector<std::pair<double, double>>> series;
   std::size_t epochs = 0;
-  const Json* events = find_member(root.as_object(), "traceEvents");
+  const Json* events = root.find("traceEvents");
   if (events == nullptr) {
-    if (find_member(root.as_object(), "drbw_serve_snapshot") != nullptr) {
-      throw UsageError("drbw stats: '" + parser.option("trace") +
-                       "' is a serve snapshot, not a trace_event file — did "
-                       "you mean `drbw stats --serve --trace " +
-                       parser.option("trace") + "`?");
-    }
+    if (root.find("drbw_serve_snapshot") != nullptr) throw serve_hint;
     throw Error("not a trace_event file: no traceEvents");
   }
   for (const Json& event : events->as_array()) {
-    const JsonObject& fields = event.as_object();
-    const Json* name = find_member(fields, "name");
-    const Json* phase = find_member(fields, "ph");
-    const Json* args = find_member(fields, "args");
+    const Json* name = event.find("name");
+    const Json* phase = event.find("ph");
+    const Json* args = event.find("args");
     if (name == nullptr || phase == nullptr || args == nullptr) continue;
     if (name->as_string() != "epoch" || phase->as_string() != "C") continue;
-    const double ts = find_member(fields, "ts")->as_number();
+    const double ts = event.at("ts").as_number();
     ++epochs;
     for (const auto& [channel, value] : args->as_object()) {
       if (channel == "max_latency_multiplier") continue;
@@ -1419,8 +1045,8 @@ int cmd_stats(int argc, char** argv) {
   }
   std::cout << "channel utilization per epoch (" << epochs << " epochs, "
             << order.size() << " of " << series.size() << " channels)";
-  if (const Json* other = find_member(root.as_object(), "otherData")) {
-    if (const Json* clock = find_member(other->as_object(), "clock")) {
+  if (const Json* other = root.find("otherData")) {
+    if (const Json* clock = other->find("clock")) {
       std::cout << ", clock: " << clock->as_string();
     }
   }
@@ -1452,22 +1078,12 @@ int cmd_convert(int argc, char** argv) {
                     "0.25");
   if (!parser.parse(argc, argv)) return 0;
   pebs::LoadOptions load;
-  try {
-    load.policy = util::load_policy_from_name(
-        parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-  } catch (const Error& e) {
-    throw UsageError(std::string("--load-mode: ") + e.what());
-  }
+  load.policy = RunSession::load_policy(parser);
   load.jobs = static_cast<int>(parser.option_int("jobs"));
   pebs::SaveOptions save;
   save.format = pebs::trace_format_from_name(parser.option("format"));
-  const long long shards = parser.option_int("shards");
-  if (shards < 1 || shards > static_cast<long long>(pebs::kMaxTraceShards)) {
-    throw UsageError("--shards must be between 1 and " +
-                     std::to_string(pebs::kMaxTraceShards) + ", got '" +
-                     parser.option("shards") + "'");
-  }
-  save.shards = static_cast<std::size_t>(shards);
+  save.shards = static_cast<std::size_t>(
+      int_option(parser, "shards", 1, pebs::kMaxTraceShards));
   save.jobs = load.jobs;
   util::require_input_file(parser.option("in"), "trace file");
   util::LoadStats stats;
@@ -1532,83 +1148,35 @@ int cmd_topology(int argc, char** argv) {
   return 0;
 }
 
-// doctor and perf diff take positional arguments, which ArgParser rejects by
-// design; both are small enough to hand-parse.
-
 int cmd_doctor(int argc, char** argv) {
-  const char* usage =
-      "drbw doctor [run-dir] — diagnose a previous run from its manifest\n"
-      "\n"
-      "Loads <run-dir>/run.json (and flight.log when present; default\n"
-      "run-dir is '.') and prints ranked root-cause findings.  Exits 0 when\n"
-      "the diagnosis succeeds — including for runs that themselves failed.\n";
-  std::string run_dir = ".";
-  bool have_dir = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (starts_with(arg, "--")) {
-      throw UsageError("drbw doctor: unknown option '" + arg + "'");
-    }
-    if (have_dir) {
-      throw UsageError("drbw doctor expects at most one run directory");
-    }
-    run_dir = arg;
-    have_dir = true;
-  }
-  std::cout << report::render_doctor(report::doctor(run_dir));
+  ArgParser parser(
+      "drbw doctor",
+      "diagnose a previous run from its manifest: loads <run-dir>/run.json "
+      "(and flight.log when present) and prints ranked root-cause findings. "
+      "Exits 0 when the diagnosis succeeds, including for runs that "
+      "themselves failed");
+  parser.add_positionals("run-dir", "run directory (default: .)", 0, 1);
+  if (!parser.parse(argc, argv)) return 0;
+  const std::vector<std::string>& dirs = parser.positionals();
+  std::cout << report::render_doctor(
+      report::doctor(dirs.empty() ? "." : dirs.front()));
   return 0;
 }
 
 int cmd_perf_diff(int argc, char** argv) {
-  const char* usage =
-      "drbw perf diff <baseline/run.json> <after/run.json>... "
-      "[--threshold F]\n"
-      "\n"
-      "Compares span statistics and metric counters between run manifests:\n"
-      "the first is the baseline, and every following manifest is diffed\n"
-      "against it.  Exits 3 when any comparison grew past baseline*(1+F)\n"
-      "(default F = 0.25); CI uses this as a perf gate.\n";
-  std::vector<std::string> manifests;
-  double threshold = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (arg == "--threshold" || starts_with(arg, "--threshold=")) {
-      std::string raw;
-      if (const auto eq = arg.find('='); eq != std::string::npos) {
-        raw = arg.substr(eq + 1);
-      } else {
-        if (i + 1 >= argc) {
-          throw UsageError("drbw perf diff: --threshold expects a value");
-        }
-        raw = argv[++i];
-      }
-      char* end = nullptr;
-      threshold = std::strtod(raw.c_str(), &end);
-      if (end == nullptr || *end != '\0' || raw.empty() || threshold < 0.0) {
-        throw UsageError(
-            "drbw perf diff: --threshold expects a non-negative number, "
-            "got '" + raw + "'");
-      }
-      continue;
-    }
-    if (starts_with(arg, "--")) {
-      throw UsageError("drbw perf diff: unknown option '" + arg + "'");
-    }
-    manifests.push_back(arg);
-  }
-  if (manifests.size() < 2) {
-    throw UsageError(
-        "drbw perf diff expects a baseline and at least one comparison "
-        "manifest");
-  }
+  ArgParser parser(
+      "drbw perf diff",
+      "compare span statistics and metric counters between run manifests: "
+      "the first is the baseline, and every following manifest is diffed "
+      "against it.  Exits 3 when any comparison grew past baseline*(1+F); "
+      "CI uses this as a perf gate");
+  parser.add_positionals("run.json",
+                         "the baseline manifest, then one or more to compare",
+                         2, SIZE_MAX);
+  parser.add_option("threshold", "regression threshold F", "0.25");
+  if (!parser.parse(argc, argv)) return 0;
+  const double threshold = non_negative_option(parser, "threshold");
+  const std::vector<std::string>& manifests = parser.positionals();
   const report::ManifestData before = report::load_manifest(manifests[0]);
   bool any_regressed = false;
   for (std::size_t i = 1; i < manifests.size(); ++i) {
@@ -1623,111 +1191,52 @@ int cmd_perf_diff(int argc, char** argv) {
   return any_regressed ? kExitPerfRegression : 0;
 }
 
-/// Hand-parsed "--name value" / "--name=value" helper for the positional
-/// subcommands (doctor-style).  Returns true when `arg` matched `name`,
-/// leaving the value in `value` (and advancing `i` for the two-token form).
-bool take_option(const std::string& cmd, const std::string& arg,
-                 const char* name, int argc, char** argv, int& i,
-                 std::string& value) {
-  const std::string flag = std::string("--") + name;
-  if (arg == flag) {
-    if (i + 1 >= argc) {
-      throw UsageError(cmd + ": " + flag + " expects a value");
-    }
-    value = argv[++i];
-    return true;
-  }
-  if (starts_with(arg, flag + "=")) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-long long parse_int_option(const std::string& cmd, const char* name,
-                           const std::string& raw, long long min_value) {
-  char* end = nullptr;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || raw.empty() || value < min_value) {
-    throw UsageError(cmd + ": --" + name + " expects an integer >= " +
-                     std::to_string(min_value) + ", got '" + raw + "'");
-  }
-  return value;
-}
-
 int cmd_fleet(int argc, char** argv) {
-  const char* usage =
-      "drbw fleet <root-dir> [options] — aggregate a tree of run dirs\n"
-      "\n"
-      "Recursively discovers every directory under root-dir holding a\n"
-      "run.json, validates each manifest's checksum (corrupt manifests are\n"
-      "quarantined into the report, never fatal), and aggregates outcomes,\n"
-      "span-time distributions, fault fires, and quarantine tallies.\n"
-      "\n"
-      "  --baseline run.json   perf-diff every passing run against this\n"
-      "                        manifest; exit 3 when any run regresses\n"
-      "  --threshold F         regression threshold (default 0.25 = +25%)\n"
-      "  --filter status=S     aggregate only ok or failed runs\n"
-      "  --top N               list at most N runs in the report (0 = all)\n"
-      "  --jobs N              parallel manifest loads (0 = hw threads);\n"
-      "                        every output is byte-identical at any value\n"
-      "  --out FILE            write the Markdown report here (default:\n"
-      "                        print to stdout)\n"
-      "  --json-out FILE       write the checksummed #drbw-fleet JSON here\n"
-      "  --flame-out FILE      merge every run's flight.log spans into one\n"
-      "                        collapsed-stack profile here\n";
-  const std::string cmd = "drbw fleet";
-  std::string root;
-  std::string out, json_out, flame_out;
-  std::string value;
+  ArgParser parser(
+      "drbw fleet",
+      "aggregate a tree of run dirs: recursively discovers every directory "
+      "under root-dir holding a run.json, validates each manifest's checksum "
+      "(corrupt manifests are quarantined into the report, never fatal), and "
+      "aggregates outcomes, span-time distributions, fault fires, and "
+      "quarantine tallies");
+  parser.add_positionals("root-dir", "root of the run-dir tree", 1, 1);
+  parser.add_option("baseline",
+                    "perf-diff every passing run against this manifest; exit "
+                    "3 when any run regresses",
+                    "");
+  parser.add_option("threshold", "regression threshold (0.25 = +25%)", "0.25");
+  parser.add_option("filter", "status=ok | status=failed: aggregate only those "
+                    "runs", "");
+  parser.add_option("top", "list at most N runs in the report (0 = all)", "0");
+  parser.add_option("jobs",
+                    "parallel manifest loads (0 = hw threads); every output "
+                    "is byte-identical at any value",
+                    "1");
+  parser.add_option("out", "write the Markdown report here (empty = stdout)",
+                    "");
+  parser.add_option("json-out", "write the checksummed #drbw-fleet JSON here",
+                    "");
+  parser.add_option("flame-out",
+                    "merge every run's flight.log spans into one "
+                    "collapsed-stack profile here",
+                    "");
+  if (!parser.parse(argc, argv)) return 0;
+  const std::string& root = parser.positionals().front();
+  const std::string& out = parser.option("out");
+  const std::string& json_out = parser.option("json-out");
+  const std::string& flame_out = parser.option("flame-out");
   report::FleetOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (take_option(cmd, arg, "baseline", argc, argv, i, value)) {
-      options.baseline_path = value;
-    } else if (take_option(cmd, arg, "threshold", argc, argv, i, value)) {
-      char* end = nullptr;
-      options.threshold = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' || value.empty() ||
-          options.threshold < 0.0) {
-        throw UsageError(cmd + ": --threshold expects a non-negative "
-                         "number, got '" + value + "'");
-      }
-    } else if (take_option(cmd, arg, "filter", argc, argv, i, value)) {
-      if (value == "status=ok" || value == "status=failed") {
-        options.filter_status = value.substr(std::string("status=").size());
-      } else {
-        throw UsageError(cmd + ": --filter expects status=ok or "
-                         "status=failed, got '" + value + "'");
-      }
-    } else if (take_option(cmd, arg, "top", argc, argv, i, value)) {
-      options.top =
-          static_cast<std::size_t>(parse_int_option(cmd, "top", value, 0));
-    } else if (take_option(cmd, arg, "jobs", argc, argv, i, value)) {
-      options.jobs =
-          static_cast<int>(parse_int_option(cmd, "jobs", value, 0));
-    } else if (take_option(cmd, arg, "out", argc, argv, i, value)) {
-      out = value;
-    } else if (take_option(cmd, arg, "json-out", argc, argv, i, value)) {
-      json_out = value;
-    } else if (take_option(cmd, arg, "flame-out", argc, argv, i, value)) {
-      flame_out = value;
-    } else if (starts_with(arg, "--")) {
-      throw UsageError(cmd + ": unknown option '" + arg + "'");
-    } else if (root.empty()) {
-      root = arg;
-    } else {
-      throw UsageError(cmd + " expects exactly one root directory");
-    }
+  options.baseline_path = parser.option("baseline");
+  options.threshold = non_negative_option(parser, "threshold");
+  const std::string& filter = parser.option("filter");
+  if (filter == "status=ok" || filter == "status=failed") {
+    options.filter_status = filter.substr(std::string("status=").size());
+  } else if (!filter.empty()) {
+    throw UsageError("--filter expects status=ok or status=failed, got '" +
+                     filter + "'");
   }
-  if (root.empty()) {
-    throw UsageError(cmd + " expects a root directory\n" +
-                     std::string(usage));
-  }
+  options.top = static_cast<std::size_t>(int_option(parser, "top", 0));
+  options.jobs = static_cast<int>(int_option(parser, "jobs", 0));
 
   const report::FleetReport fleet = report::fleet_scan(root, options);
   const std::string markdown = report::render_fleet_markdown(fleet);
@@ -1767,39 +1276,19 @@ int cmd_fleet(int argc, char** argv) {
 }
 
 int cmd_flame(int argc, char** argv) {
-  const char* usage =
-      "drbw flame <run-dir|trace> [--out FILE] — collapsed-stack export\n"
-      "\n"
-      "Folds a run's deterministic spans into collapsed-stack format\n"
-      "(`frame;frame;frame weight`, one line per stack — the input format\n"
-      "of flamegraph.pl and speedscope).  A directory argument folds its\n"
-      "flight.log; a file argument is either a #drbw-flight dump or a\n"
-      "trace_event JSON written with --trace-out.  Without --out the\n"
-      "profile goes to stdout (pipe it straight into flamegraph.pl).\n";
-  const std::string cmd = "drbw flame";
-  std::string input;
-  std::string out;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (take_option(cmd, arg, "out", argc, argv, i, value)) {
-      out = value;
-    } else if (starts_with(arg, "--")) {
-      throw UsageError(cmd + ": unknown option '" + arg + "'");
-    } else if (input.empty()) {
-      input = arg;
-    } else {
-      throw UsageError(cmd + " expects exactly one run dir or trace file");
-    }
-  }
-  if (input.empty()) {
-    throw UsageError(cmd + " expects a run dir or trace file\n" +
-                     std::string(usage));
-  }
+  ArgParser parser(
+      "drbw flame",
+      "collapsed-stack export: folds a run's deterministic spans into "
+      "collapsed-stack format (`frame;frame;frame weight`, one line per "
+      "stack: the input format of flamegraph.pl and speedscope)");
+  parser.add_positionals("run-dir|trace",
+                         "a run dir (folds its flight.log), a #drbw-flight "
+                         "dump, or a trace_event JSON from --trace-out",
+                         1, 1);
+  parser.add_option("out", "write the profile here (empty = stdout)", "");
+  if (!parser.parse(argc, argv)) return 0;
+  const std::string& input = parser.positionals().front();
+  const std::string& out = parser.option("out");
 
   obs::FlameFold fold;
   std::error_code ec;

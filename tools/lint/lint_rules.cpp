@@ -59,12 +59,12 @@ FileInfo classify(std::string_view path) {
 
 namespace {
 
-/// Harvests `drbw-lint: allow(<rule>) <reason>` from one comment's text.
+/// Harvests `<tag> allow(<rule>) <reason>` from one comment's text.
 void harvest_allows(std::string_view comment, std::size_t line,
-                    std::vector<SourceText::Allow>& out) {
-  const std::size_t tag = comment.find("drbw-lint:");
-  if (tag == std::string_view::npos) return;
-  std::string_view rest = comment.substr(tag);
+                    std::string_view tag, std::vector<SourceText::Allow>& out) {
+  const std::size_t at = comment.find(tag);
+  if (at == std::string_view::npos) return;
+  std::string_view rest = comment.substr(at);
   const std::size_t open = rest.find("allow(");
   if (open == std::string_view::npos) return;
   rest = rest.substr(open + 6);
@@ -73,36 +73,64 @@ void harvest_allows(std::string_view comment, std::size_t line,
   SourceText::Allow allow;
   allow.line = line;
   allow.rule = trim(rest.substr(0, close));
+  allow.reason = trim(rest.substr(close + 1));
   // The reason must actually say something: at least three characters with
   // at least one letter, so "." or "--" cannot wave a finding through.
-  const std::string reason = trim(rest.substr(close + 1));
-  allow.has_reason = false;
-  if (reason.size() >= 3) {
-    for (const char c : reason) {
-      if (std::isalpha(static_cast<unsigned char>(c))) {
-        allow.has_reason = true;
-        break;
-      }
-    }
-  }
-  out.push_back(allow);
+  allow.has_reason =
+      allow.reason.size() >= 3 &&
+      std::any_of(allow.reason.begin(), allow.reason.end(), [](char c) {
+        return std::isalpha(static_cast<unsigned char>(c)) != 0;
+      });
+  out.push_back(std::move(allow));
+}
+
+/// Parses `#include <...>` / `#include "..."` from one raw source line.
+void harvest_include(std::string_view s, std::size_t line,
+                     std::vector<SourceText::Include>& out) {
+  std::size_t i = 0;
+  const auto skip_space = [&] {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  };
+  skip_space();
+  if (i >= s.size() || s[i] != '#') return;
+  ++i;
+  skip_space();
+  if (s.substr(i, 7) != "include") return;
+  i += 7;
+  skip_space();
+  if (i >= s.size()) return;
+  const char open = s[i];
+  const char close = open == '<' ? '>' : (open == '"' ? '"' : '\0');
+  if (close == '\0') return;
+  const std::size_t end = s.find(close, i + 1);
+  if (end == std::string_view::npos) return;
+  out.push_back(SourceText::Include{std::string(s.substr(i + 1, end - i - 1)),
+                                    open == '<', line});
 }
 
 }  // namespace
 
-SourceText preprocess(std::string_view content) {
+SourceText preprocess(std::string_view content, std::string_view allow_tag) {
   SourceText out;
   out.blanked.assign(content.size(), ' ');
   std::size_t line = 1;
+  std::size_t line_start = 0;
   std::size_t i = 0;
   const std::size_t n = content.size();
   auto keep = [&](std::size_t at) { out.blanked[at] = content[at]; };
+  // Every newline, inside comments and literals too, ends a raw line.
+  auto end_line = [&](std::size_t at) {
+    keep(at);
+    harvest_include(content.substr(line_start, at - line_start), line,
+                    out.includes);
+    line_start = at + 1;
+    ++line;
+  };
 
   while (i < n) {
     const char c = content[i];
     if (c == '\n') {
-      keep(i);
-      ++line;
+      end_line(i);
       ++i;
       continue;
     }
@@ -110,7 +138,8 @@ SourceText preprocess(std::string_view content) {
     if (c == '/' && i + 1 < n && content[i + 1] == '/') {
       const std::size_t start = i;
       while (i < n && content[i] != '\n') ++i;
-      harvest_allows(content.substr(start, i - start), line, out.allows);
+      harvest_allows(content.substr(start, i - start), line, allow_tag,
+                     out.allows);
       continue;
     }
     // Block comment: blank it; an annotation anchors at the opening line.
@@ -119,58 +148,75 @@ SourceText preprocess(std::string_view content) {
       const std::size_t start_line = line;
       i += 2;
       while (i + 1 < n && !(content[i] == '*' && content[i + 1] == '/')) {
-        if (content[i] == '\n') {
-          keep(i);
-          ++line;
-        }
+        if (content[i] == '\n') end_line(i);
         ++i;
       }
       i = (i + 1 < n) ? i + 2 : n;
-      harvest_allows(content.substr(start, i - start), start_line, out.allows);
+      harvest_allows(content.substr(start, i - start), start_line, allow_tag,
+                     out.allows);
       continue;
     }
     // Raw string literal: R"delim( ... )delim", with optional u8/u/U/L prefix
     // (the prefix chars are identifier-like and survive blanking harmlessly).
     if (c == 'R' && i + 1 < n && content[i + 1] == '"' &&
-        (i == 0 || (!std::isalnum(static_cast<unsigned char>(content[i - 1])) &&
-                    content[i - 1] != '_'))) {
+        (i == 0 || !ident_char(content[i - 1]))) {
       std::size_t j = i + 2;
       std::string delim;
       while (j < n && content[j] != '(') delim += content[j++];
       const std::string closer = ")" + delim + "\"";
       const std::size_t end = content.find(closer, j);
-      const std::size_t stop = end == std::string_view::npos ? n : end + closer.size();
+      const std::size_t body = std::min(j + 1, n);
+      const std::size_t body_end = end == std::string_view::npos ? n : end;
+      out.literals.push_back(SourceText::Literal{
+          std::string(content.substr(body, body_end - body)), i + 1, line});
+      const std::size_t stop =
+          end == std::string_view::npos ? n : end + closer.size();
       for (; i < stop; ++i) {
-        if (content[i] == '\n') {
-          keep(i);
-          ++line;
-        }
+        if (content[i] == '\n') end_line(i);
       }
       continue;
     }
     // String / char literal.  A ' preceded by an identifier char is a C++14
     // digit separator (6'000'000), not a literal.
-    if (c == '"' ||
-        (c == '\'' &&
-         (i == 0 || (!std::isalnum(static_cast<unsigned char>(content[i - 1])) &&
-                     content[i - 1] != '_')))) {
+    if (c == '"' || (c == '\'' && (i == 0 || !ident_char(content[i - 1])))) {
       const char quote = c;
+      SourceText::Literal lit{"", i, line};
       ++i;
       while (i < n && content[i] != quote) {
-        if (content[i] == '\\' && i + 1 < n) ++i;  // skip escaped char
-        if (content[i] == '\n') {
-          keep(i);
-          ++line;
-        }
+        const bool escaped = content[i] == '\\' && i + 1 < n;
+        if (escaped) ++i;  // keep the escaped char, drop the backslash
+        if (content[i] == '\n') end_line(i);
+        lit.text += escaped && content[i] == 'n' ? '\n' : content[i];
         ++i;
       }
       if (i < n) ++i;  // closing quote
+      if (quote == '"') out.literals.push_back(std::move(lit));
       continue;
     }
     keep(i);
     ++i;
   }
+  harvest_include(content.substr(line_start), line, out.includes);
   return out;
+}
+
+std::vector<std::filesystem::path> source_files(
+    const std::string& root, const std::vector<std::string>& subdirs) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const std::string& sub : subdirs) {
+    const fs::path dir = fs::path(root) / sub;
+    if (!fs::exists(dir)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string ext = entry.path().extension().string();
+      if (ext == ".cpp" || ext == ".hpp" || ext == ".h") {
+        files.push_back(entry.path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 namespace {
@@ -180,10 +226,6 @@ struct Token {
   std::size_t pos = 0;
   std::size_t line = 0;
 };
-
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
 
 std::vector<Token> tokenize(const std::string& blanked) {
   std::vector<Token> tokens;
@@ -466,21 +508,7 @@ RunResult run(const std::string& root,
               const std::vector<std::string>& subdirs) {
   namespace fs = std::filesystem;
   RunResult result;
-  std::vector<fs::path> files;
-  for (const std::string& sub : subdirs) {
-    const fs::path dir = fs::path(root) / sub;
-    if (!fs::exists(dir)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".cpp" || ext == ".hpp" || ext == ".h") {
-        files.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-
-  for (const fs::path& file : files) {
+  for (const fs::path& file : source_files(root, subdirs)) {
     std::ifstream in(file, std::ios::binary);
     if (!in) throw Error("drbw_lint: cannot read " + file.string());
     std::ostringstream buffer;

@@ -14,6 +14,8 @@
 // mandatory — an allow without one is itself a finding.
 #pragma once
 
+#include <cctype>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,22 +50,50 @@ struct FileInfo {
 /// Classifies `path` (any separator style; matched on '/'-normalized form).
 FileInfo classify(std::string_view path);
 
+inline bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
 /// A source file after lexing: comments and string/char literal *contents*
-/// blanked to spaces (newlines preserved, so line numbers survive), plus the
-/// allow-annotations harvested from comments before blanking.
+/// blanked to spaces (newlines preserved, so line numbers survive), plus
+/// what was harvested before blanking.  drbw_lint and drbw_analyze share
+/// this one lexer.
 struct SourceText {
   std::string blanked;
+  /// One `<tag> allow(<rule>) <reason>` annotation.
   struct Allow {
     std::size_t line = 0;  // the annotated line (the comment's own line)
     std::string rule;
-    bool has_reason = false;
+    std::string reason;  // trimmed; empty = missing
+    bool has_reason = false;  // >= 3 characters, at least one a letter
   };
   std::vector<Allow> allows;
+  /// A "..." string literal (escapes dropped, \n decoded) or a raw
+  /// string's body.
+  struct Literal {
+    std::string text;
+    std::size_t pos = 0;  // offset of the opening quote
+    std::size_t line = 0;
+  };
+  std::vector<Literal> literals;
+  /// One #include directive.
+  struct Include {
+    std::string path;     // as written between the delimiters
+    bool angled = false;  // <...> vs "..."
+    std::size_t line = 0;
+  };
+  std::vector<Include> includes;
 };
 
 /// Lexes `content`: strips // and /* */ comments, "..." / '...' literals and
-/// raw strings, and collects `drbw-lint: allow(...)` annotations.
-SourceText preprocess(std::string_view content);
+/// raw strings (digit separators handled), and collects the `allow_tag`
+/// annotations, string literals, and #include directives.
+SourceText preprocess(std::string_view content,
+                      std::string_view allow_tag = "drbw-lint:");
+
+/// Every .cpp/.hpp/.h under `root`/<subdir> for each subdir, sorted.
+std::vector<std::filesystem::path> source_files(
+    const std::string& root, const std::vector<std::string>& subdirs);
 
 /// Runs every rule over one file's content; returns findings in line order.
 std::vector<Finding> check_file(const FileInfo& info, std::string_view content);
