@@ -13,11 +13,13 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "drbw/drbw.hpp"
 #include "drbw/util/ascii_chart.hpp"
 #include "drbw/util/cli.hpp"
 #include "drbw/util/csv.hpp"
+#include "drbw/util/json.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/table.hpp"
 #include "drbw/util/task_pool.hpp"
@@ -124,6 +126,35 @@ inline void paper_note(const std::string& note) {
 
 inline void measured_note(const std::string& note) {
   std::cout << "  [measured] " << note << '\n';
+}
+
+/// The host a measurement came from: hardware threads, CPU model (from
+/// /proc/cpuinfo where there is one), compiler, and CMake build type.
+/// Speed figures committed to BENCH_*.json carry it, so a number is never
+/// quoted apart from the machine that produced it.
+inline Json host_fingerprint() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (starts_with(line, "model name")) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) cpu = trim(line.substr(colon + 1));
+      break;
+    }
+  }
+  Json host = JsonObject{};
+  host.set("hardware_threads",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu_model", cpu);
+#if defined(__clang__)
+  host.set("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  host.set("compiler", std::string("GCC ") + __VERSION__);
+#else
+  host.set("compiler", std::string("unknown"));
+#endif
+  host.set("build_type", std::string(DRBW_BUILD_TYPE));
+  return host;
 }
 
 }  // namespace drbw::bench

@@ -1,12 +1,12 @@
-// Microbenchmark for trace artifact load throughput (the PR 6 perf gate).
+// Microbenchmark for trace artifact save and load throughput.
 //
 // Builds a deterministic synthetic trace of >= 1M PEBS samples, persists it
 // as CSV v2 (single file), binary v3 (single file), and binary v3 sharded,
-// then times the loads best-of-reps and persists the results to
-// BENCH_trace_io.json:
-//   * load seconds + MB/s per format,
-//   * speedup of binary v3 over CSV v2 (the ISSUE's >= 10x target) and of
-//     the sharded parallel load over single-file binary,
+// then times the saves and loads best-of-reps and persists the results,
+// with the host's fingerprint, to BENCH_trace_io.json:
+//   * save and load seconds + MB/s per format,
+//   * speedup of binary v3 over CSV v2 for each direction, and of the
+//     sharded parallel load over CSV v2,
 //   * proof that every format loads back the identical trace.
 //
 // Runs to completion with no arguments, like every other bench binary.
@@ -112,6 +112,23 @@ LoadTiming time_load(const std::string& path, const pebs::Trace& reference,
   return timing;
 }
 
+/// Best-of-`reps` single-file save of `trace` to `path` as `format`.
+LoadTiming time_save(const std::string& path, const pebs::Trace& trace,
+                     pebs::TraceFormat format, int reps) {
+  pebs::SaveOptions options;
+  options.format = format;
+  LoadTiming timing;
+  timing.best_seconds = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    pebs::save_trace(path, trace, options);
+    timing.best_seconds = std::min(timing.best_seconds, seconds_since(start));
+  }
+  timing.megabytes =
+      static_cast<double>(std::filesystem::file_size(path)) / 1e6;
+  return timing;
+}
+
 Json timing_json(const LoadTiming& timing) {
   Json node = JsonObject{};
   node.set("best_seconds", timing.best_seconds);
@@ -130,7 +147,8 @@ int run_main(int argc, char** argv) {
                     "1000000");
   parser.add_option("events", "synthetic allocation events in the trace",
                     "2000");
-  parser.add_option("reps", "load repetitions per format (best-of)", "3");
+  parser.add_option("reps", "save/load repetitions per format (best-of)",
+                    "3");
   parser.add_option("shards", "shard count for the sharded variant", "8");
   parser.add_option("out", "JSON artifact path", "BENCH_trace_io.json");
   if (!parser.parse(argc, argv)) return 0;
@@ -151,15 +169,29 @@ int run_main(int argc, char** argv) {
             << " allocation sites...\n";
   const pebs::Trace trace = make_trace(events, samples);
 
-  pebs::SaveOptions csv;  // defaults: CSV v2, single file
-  pebs::save_trace(dir + "/trace.csv", trace, csv);
-  pebs::SaveOptions binary;
-  binary.format = pebs::TraceFormat::kBinary;
-  pebs::save_trace(dir + "/trace.bin", trace, binary);
-  pebs::SaveOptions sharded = binary;
+  bench::heading("trace save throughput (best of " + std::to_string(reps) +
+                 ")");
+  const LoadTiming csv_save =
+      time_save(dir + "/trace.csv", trace, pebs::TraceFormat::kCsv, reps);
+  const LoadTiming bin_save =
+      time_save(dir + "/trace.bin", trace, pebs::TraceFormat::kBinary, reps);
+  pebs::SaveOptions sharded;
+  sharded.format = pebs::TraceFormat::kBinary;
   sharded.shards = shards;
   sharded.jobs = 4;
   pebs::save_trace(dir + "/trace_sharded.bin", trace, sharded);
+
+  auto row = [](const std::string& name, const LoadTiming& t) {
+    std::cout << "  " << name << ": "
+              << format_fixed(t.best_seconds * 1e3, 1) << " ms  ("
+              << format_fixed(t.mb_per_second(), 1) << " MB/s, "
+              << format_fixed(t.megabytes, 1) << " MB on disk)\n";
+  };
+  row("csv v2, 1 file        ", csv_save);
+  row("binary v3, 1 file     ", bin_save);
+  const double save_speedup = csv_save.best_seconds / bin_save.best_seconds;
+  std::cout << "\n  binary v3 vs csv v2:          "
+            << format_fixed(save_speedup, 1) << "x\n";
 
   bench::heading("trace load throughput (best of " + std::to_string(reps) +
                  ")");
@@ -172,12 +204,6 @@ int run_main(int argc, char** argv) {
 
   const double speedup_binary = csv_t.best_seconds / bin_t.best_seconds;
   const double speedup_sharded = csv_t.best_seconds / sh4_t.best_seconds;
-  auto row = [](const std::string& name, const LoadTiming& t) {
-    std::cout << "  " << name << ": "
-              << format_fixed(t.best_seconds * 1e3, 1) << " ms  ("
-              << format_fixed(t.mb_per_second(), 1) << " MB/s, "
-              << format_fixed(t.megabytes, 1) << " MB on disk)\n";
-  };
   row("csv v2, 1 file        ", csv_t);
   row("binary v3, 1 file     ", bin_t);
   row("binary v3 sharded, j=1", sh1_t);
@@ -186,14 +212,16 @@ int run_main(int argc, char** argv) {
             << format_fixed(speedup_binary, 1) << "x\n"
             << "  sharded (jobs 4) vs csv v2:   "
             << format_fixed(speedup_sharded, 1) << "x\n";
-  bench::measured_note("ISSUE target: >= 10x load throughput for binary v3 "
-                       "over CSV v2 on a >= 1M-sample trace");
 
   Json result = JsonObject{};
+  result.set("host", bench::host_fingerprint());
   result.set("samples", samples);
   result.set("events", events);
   result.set("reps", reps);
   result.set("shards", shards);
+  result.set("csv_v2_save", timing_json(csv_save));
+  result.set("binary_v3_save", timing_json(bin_save));
+  result.set("speedup_binary_vs_csv_save", save_speedup);
   result.set("csv_v2", timing_json(csv_t));
   result.set("binary_v3", timing_json(bin_t));
   result.set("binary_v3_sharded_jobs1", timing_json(sh1_t));

@@ -13,8 +13,9 @@
 //     F,<base>                        free event
 //     S,<addr>,<cpu>,<tid>,<level>,<latency>,<w>,<cycle>   sample
 //
-//   Binary (v3) — little-endian fixed-width records, 10-100x faster to
-//   load (field parsing is a memcpy, not a strtoull per field):
+//   Binary (v3) — little-endian fixed-width records, ~3x the CSV load
+//   throughput (BENCH_trace_io.json; fields sit at fixed offsets instead of
+//   being parsed from text):
 //     #drbw-trace v3 crc32=<hex> bytes=<n>
 //     prelude   magic 'DRBW' u32 | flags u32 (0) | event count u64 |
 //               sample count u64 | label-blob bytes u64
@@ -59,6 +60,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "drbw/mem/address_space.hpp"
@@ -144,5 +146,19 @@ std::vector<std::string> trace_artifact_paths(const std::string& path);
 /// Level <-> trace-token conversion (exposed for tests).
 const char* level_token(MemLevel level);
 MemLevel level_from_token(const std::string& token);
+
+namespace detail {
+
+/// The two CSV record decoders, exposed for the codec equivalence tests.
+/// parse_csv_record is the general one: it accepts every record the format
+/// allows, appends it to `trace`, and throws Error(kParse) naming the
+/// offending token.  parse_csv_sample_fast decodes only a sample line in
+/// the exact shape the writer emits and returns false, leaving `out`
+/// untouched, for anything else.  Loads try the fast one first; wherever it
+/// accepts, the general one yields the same sample bit for bit.
+void parse_csv_record(std::string_view line, Trace& trace);
+bool parse_csv_sample_fast(std::string_view line, MemorySample& out);
+
+}  // namespace detail
 
 }  // namespace drbw::pebs

@@ -1,5 +1,9 @@
 #include "drbw/pebs/trace_io.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -107,36 +111,161 @@ TraceFormat trace_format_from_name(const std::string& name) {
 
 namespace {
 
-void render_csv(std::ostream& os, const mem::AllocationEvent* events,
+// Worst-case bytes of one CSV record, the room TextSink makes before it:
+// "S," + u64 + int + u32 + level + %.6g float (at most "-1.17549e-38") +
+// write flag + u64, plus separators, rounded up.
+constexpr std::size_t kMaxSampleLine = 96;
+constexpr std::size_t kMaxFreeLine = 32;
+constexpr std::size_t kMaxAllocLine = 64;  // plus the escaped label
+
+/// printf "%.6g" of a float in [1, 1e6), where latencies live, without the
+/// general formatter.  With X the decimal exponent, value * 10^(5-X) is
+/// exact in double (a 24-bit significand times at most 10^5), so rounding
+/// it to an integer, ties to even as printf rounds, gives printf's six
+/// significant digits; %g then prints them fixed, trailing zeros dropped.
+/// Returns nullptr, writing nothing, outside that range or when rounding
+/// carries into 1e6 (which %g prints as "1e+06").
+char* put_g6_fixed(char* p, float value) {
+  static constexpr float kDecades[] = {1e1f, 1e2f, 1e3f, 1e4f, 1e5f};
+  static constexpr double kScale[] = {1e5, 1e4, 1e3, 1e2, 1e1, 1e0};
+  if (!(value >= 1.0f && value < 1e6f)) return nullptr;
+  std::size_t x = 0;  // 10^x <= value < 10^(x+1)
+  while (x < 5 && value >= kDecades[x]) ++x;
+  auto digits = static_cast<std::uint32_t>(
+      std::nearbyint(static_cast<double>(value) * kScale[x]));
+  if (digits == 1000000) {  // rounded up into the next decade
+    if (x == 5) return nullptr;
+    ++x;
+    digits = 100000;
+  }
+  char text[6];
+  for (std::size_t i = 6; i-- > 0; digits /= 10) {
+    text[i] = static_cast<char>('0' + digits % 10);
+  }
+  std::size_t last = 5;
+  while (last > x && text[last] == '0') --last;
+  std::memcpy(p, text, x + 1);
+  p += x + 1;
+  if (last > x) {
+    *p++ = '.';
+    std::memcpy(p, text + x + 1, last - x);
+    p += last - x;
+  }
+  return p;
+}
+
+/// Appends text to a string through a raw cursor.  Before each record,
+/// room() makes sure the string extends at least the record's worst-case
+/// width past the cursor (growing it geometrically, so the zero fill is
+/// amortized); finish() trims the string back to the text written.  Output
+/// is locale-independent, matching `ostream <<` under the classic "C"
+/// locale byte for byte.
+class TextSink {
+ public:
+  explicit TextSink(std::string& out)
+      : out_(out), cursor_(out.data() + out.size()), end_(cursor_) {}
+
+  TextSink& room(std::size_t max_bytes) {
+    if (static_cast<std::size_t>(end_ - cursor_) < max_bytes) grow(max_bytes);
+    return *this;
+  }
+  TextSink& put(char c) {
+    *cursor_++ = c;
+    return *this;
+  }
+  TextSink& put(std::string_view text) {
+    std::memcpy(cursor_, text.data(), text.size());
+    cursor_ += text.size();
+    return *this;
+  }
+  template <typename Int>
+  TextSink& put_int(Int value) {
+    cursor_ = std::to_chars(cursor_, end_, value).ptr;
+    return *this;
+  }
+  /// printf "%.6g" — what `ostream << float` emits under default flags.
+  TextSink& put_latency(float value) {
+    char* const fixed = put_g6_fixed(cursor_, value);
+    cursor_ = fixed != nullptr
+                  ? fixed
+                  : std::to_chars(cursor_, end_, value,
+                                  std::chars_format::general, 6)
+                        .ptr;
+    return *this;
+  }
+  void finish() { out_.resize(written()); }
+
+ private:
+  std::size_t written() const {
+    return static_cast<std::size_t>(cursor_ - out_.data());
+  }
+  void grow(std::size_t max_bytes) {
+    const std::size_t at = written();
+    out_.resize(std::max({out_.capacity(), 2 * out_.size(), at + max_bytes}));
+    cursor_ = out_.data() + at;
+    end_ = out_.data() + out_.size();
+  }
+
+  std::string& out_;
+  char* cursor_;
+  char* end_;
+};
+
+void render_csv(std::string& out, const mem::AllocationEvent* events,
                 std::size_t event_count, const MemorySample* samples,
                 std::size_t sample_count) {
+  // A typical sample line is ~40 bytes; growth past the estimate doubles.
+  out.reserve(out.size() + event_count * kMaxAllocLine + sample_count * 48);
+  TextSink sink(out);
   for (std::size_t i = 0; i < event_count; ++i) {
     const mem::AllocationEvent& e = events[i];
     if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-      os << "A," << CsvWriter::escape(e.site.label) << ',' << e.base
-         << ',' << e.size_bytes << '\n';
+      const std::string label = CsvWriter::escape(e.site.label);
+      sink.room(kMaxAllocLine + label.size())
+          .put("A,")
+          .put(label)
+          .put(',')
+          .put_int(e.base)
+          .put(',')
+          .put_int(e.size_bytes)
+          .put('\n');
     } else {
-      os << "F," << e.base << '\n';
+      sink.room(kMaxFreeLine).put("F,").put_int(e.base).put('\n');
     }
   }
   for (std::size_t i = 0; i < sample_count; ++i) {
     const MemorySample& s = samples[i];
-    os << "S," << s.address << ',' << s.cpu << ',' << s.tid << ','
-       << level_token(s.level) << ',' << s.latency_cycles << ','
-       << (s.is_write ? 1 : 0) << ',' << s.cycle << '\n';
+    sink.room(kMaxSampleLine)
+        .put("S,")
+        .put_int(s.address)
+        .put(',')
+        .put_int(s.cpu)
+        .put(',')
+        .put_int(s.tid)
+        .put(',')
+        .put(level_token(s.level))
+        .put(',')
+        .put_latency(s.latency_cycles)
+        .put(',')
+        .put(s.is_write ? '1' : '0')
+        .put(',')
+        .put_int(s.cycle)
+        .put('\n');
   }
+  sink.finish();
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xffu));
-  out.push_back(static_cast<char>((v >> 8) & 0xffu));
-  out.push_back(static_cast<char>((v >> 16) & 0xffu));
-  out.push_back(static_cast<char>((v >> 24) & 0xffu));
+unsigned char* put_u32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v & 0xffu);
+  p[1] = static_cast<unsigned char>((v >> 8) & 0xffu);
+  p[2] = static_cast<unsigned char>((v >> 16) & 0xffu);
+  p[3] = static_cast<unsigned char>((v >> 24) & 0xffu);
+  return p + 4;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+unsigned char* put_u64(unsigned char* p, std::uint64_t v) {
+  p = put_u32(p, static_cast<std::uint32_t>(v & 0xffffffffu));
+  return put_u32(p, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint32_t get_u32(const unsigned char* p) {
@@ -165,6 +294,8 @@ float bits_float(std::uint32_t bits) {
 
 /// Renders the v3 binary body (see the layout in trace_io.hpp).  Labels are
 /// deduplicated into one blob; events reference them by (offset, length).
+/// The body's size is known up front, so it is allocated once and written
+/// through a cursor.
 std::string render_binary(const mem::AllocationEvent* events,
                           std::size_t event_count, const MemorySample* samples,
                           std::size_t sample_count) {
@@ -184,33 +315,36 @@ std::string render_binary(const mem::AllocationEvent* events,
     interned.emplace(label, ref);
     refs[i] = ref;
   }
-  std::string out;
-  out.reserve(kBinaryPreludeBytes + labels.size() +
-              event_count * kBinaryEventBytes +
-              sample_count * kBinarySampleBytes);
-  put_u32(out, kBinaryMagic);
-  put_u32(out, 0);  // flags, reserved
-  put_u64(out, event_count);
-  put_u64(out, sample_count);
-  put_u64(out, labels.size());
-  out += labels;
+  std::string out(kBinaryPreludeBytes + labels.size() +
+                      event_count * kBinaryEventBytes +
+                      sample_count * kBinarySampleBytes,
+                  '\0');
+  auto* p = reinterpret_cast<unsigned char*>(out.data());
+  p = put_u32(p, kBinaryMagic);
+  p = put_u32(p, 0);  // flags, reserved
+  p = put_u64(p, event_count);
+  p = put_u64(p, sample_count);
+  p = put_u64(p, labels.size());
+  std::copy(labels.begin(), labels.end(), p);
+  p += labels.size();
   for (std::size_t i = 0; i < event_count; ++i) {
     const mem::AllocationEvent& e = events[i];
-    out.push_back(static_cast<char>(e.kind));
-    put_u32(out, refs[i].first);
-    put_u32(out, refs[i].second);
-    put_u64(out, e.base);
-    put_u64(out, e.size_bytes);
+    *p++ = static_cast<unsigned char>(e.kind);
+    p = put_u32(p, refs[i].first);
+    p = put_u32(p, refs[i].second);
+    p = put_u64(p, e.base);
+    p = put_u64(p, e.size_bytes);
   }
   for (std::size_t i = 0; i < sample_count; ++i) {
     const MemorySample& s = samples[i];
-    put_u64(out, s.address);
-    put_u64(out, s.cycle);
-    put_u32(out, static_cast<std::uint32_t>(s.cpu));
-    put_u32(out, s.tid);
-    put_u32(out, float_bits(s.latency_cycles));
-    out.push_back(static_cast<char>(s.level));
-    out.push_back(static_cast<char>(s.is_write ? 1 : 0));
+    p = put_u64(p, s.address);
+    p = put_u64(p, s.cycle);
+    p = put_u32(p, static_cast<std::uint32_t>(s.cpu));
+    p = put_u32(p, s.tid);
+    p = put_u32(p, float_bits(s.latency_cycles));
+    p[0] = static_cast<unsigned char>(s.level);
+    p[1] = s.is_write ? 1 : 0;
+    p += 2;
   }
   return out;
 }
@@ -221,9 +355,9 @@ std::string render_body(TraceFormat format, const mem::AllocationEvent* events,
   if (format == TraceFormat::kBinary) {
     return render_binary(events, event_count, samples, sample_count);
   }
-  std::ostringstream os;
-  render_csv(os, events, event_count, samples, sample_count);
-  return os.str();
+  std::string out;
+  render_csv(out, events, event_count, samples, sample_count);
+  return out;
 }
 
 /// Escalates a lenient load once the quarantined fraction clears the policy
@@ -247,9 +381,10 @@ void enforce_quarantine_cap(const std::string& source,
 }  // namespace
 
 void write_trace(std::ostream& os, const Trace& trace) {
-  os << "#drbw-trace v1" << '\n';
-  render_csv(os, trace.events.data(), trace.events.size(),
+  std::string text = "#drbw-trace v1\n";
+  render_csv(text, trace.events.data(), trace.events.size(),
              trace.samples.data(), trace.samples.size());
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void save_trace(const std::string& path, const Trace& trace) {
@@ -264,7 +399,7 @@ namespace {
 
 /// Minimal CSV field splitter honoring the double-quote escaping CsvWriter
 /// produces for site labels.
-std::vector<std::string> split_csv(const std::string& line) {
+std::vector<std::string> split_csv(std::string_view line) {
   std::vector<std::string> fields;
   std::string field;
   bool quoted = false;
@@ -295,6 +430,10 @@ std::vector<std::string> split_csv(const std::string& line) {
 }
 
 std::uint64_t to_u64(const std::string& s) {
+  // stoull skips leading whitespace and then wraps a '-' sign modulo 2^64
+  // ("-1" would load as 2^64-1), so a sign is rejected outright.
+  const std::size_t first = s.find_first_not_of(" \t\n\v\f\r");
+  const bool negative = first != std::string::npos && s[first] == '-';
   std::size_t pos = 0;
   std::uint64_t v = 0;
   try {
@@ -302,12 +441,14 @@ std::uint64_t to_u64(const std::string& s) {
   } catch (const std::exception&) {
     pos = std::string::npos;
   }
-  if (pos != s.size() || s.empty()) {
+  if (negative || pos != s.size() || s.empty()) {
     throw Error("malformed number '" + s + "'", ErrorCode::kParse);
   }
   return v;
 }
 
+/// A latency is a finite, non-negative cycle count — the same rule the
+/// binary decoder applies to the raw float bits.
 float to_latency(const std::string& s) {
   std::size_t pos = 0;
   float v = 0.0f;
@@ -316,7 +457,7 @@ float to_latency(const std::string& s) {
   } catch (const std::exception&) {
     pos = std::string::npos;
   }
-  if (pos != s.size() || s.empty()) {
+  if (pos != s.size() || s.empty() || !std::isfinite(v) || v < 0.0f) {
     throw Error("malformed latency '" + s + "'", ErrorCode::kParse);
   }
   return v;
@@ -330,9 +471,159 @@ void require_arity(const std::vector<std::string>& fields, std::size_t want) {
   }
 }
 
-/// Parses one record line into `trace`; throws Error(kParse) naming the
-/// offending token (the caller prefixes source + line number).
-void parse_record(const std::string& line, Trace& trace) {
+/// True when `line` holds nothing but whitespace.
+bool blank(std::string_view line) {
+  for (const char c : line) {
+    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+  }
+  return true;
+}
+
+/// Cursor for the fast sample decoder.  Each take_* reads one field in the
+/// shape render_csv writes, plus the ',' that ends it (or, for the last
+/// field, the end of the line), and returns false on anything else.
+class SampleCursor {
+ public:
+  explicit SampleCursor(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// Exactly `token`; on a mismatch the cursor stays put, so the caller
+  /// can try an alternative.
+  bool take(std::string_view token, bool last = false) {
+    if (static_cast<std::size_t>(end_ - p_) < token.size() ||
+        std::memcmp(p_, token.data(), token.size()) != 0) {
+      return false;
+    }
+    const char* const start = p_;
+    p_ += token.size();
+    if (field_end(last)) return true;
+    p_ = start;
+    return false;
+  }
+
+  /// 1–19 decimal digits: the widths that cannot overflow a u64.
+  bool take_u64(std::uint64_t& out, bool last = false) {
+    const char* const from = p_;
+    std::uint64_t v = 0;
+    while (p_ != end_ && is_digit(*p_)) v = v * 10 + digit(*p_++);
+    if (p_ == from || p_ - from > 19) return false;
+    out = v;
+    return field_end(last);
+  }
+
+  bool take_level(MemLevel& out) {
+    for (const MemLevel level :
+         {MemLevel::kLocalDram, MemLevel::kRemoteDram, MemLevel::kL1,
+          MemLevel::kL2, MemLevel::kL3, MemLevel::kLfb}) {
+      if (take(level_token(level))) {
+        out = level;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// A latency in the shape "%g" prints — digits, an optional fraction, an
+  /// optional exponent with an explicit sign — whose value is 0 or lies
+  /// strictly inside (FLT_MIN, FLT_MAX), clear of every case where stof
+  /// reports a range error.  Up to 7 digits without an exponent (the usual
+  /// token) make m / 10^k with both operands exact floats, so the one IEEE
+  /// division rounds as stof does; longer tokens go through from_chars,
+  /// which is correctly rounded as well.
+  bool take_latency(float& out) {
+    static constexpr float kPow10[] = {1e0f, 1e1f, 1e2f, 1e3f,
+                                       1e4f, 1e5f, 1e6f, 1e7f};
+    const char* const from = p_;
+    std::uint32_t mantissa = 0;  // the first 7 digits
+    int digits = 0;
+    int fraction = 0;
+    const auto run = [&](bool in_fraction) {
+      const char* const start = p_;
+      for (; p_ != end_ && is_digit(*p_); ++p_, ++digits) {
+        if (digits < 7) mantissa = mantissa * 10 + digit(*p_);
+        if (in_fraction) ++fraction;
+      }
+      return p_ != start;
+    };
+    if (!run(false)) return false;
+    if (p_ != end_ && *p_ == '.') {
+      ++p_;
+      if (!run(true)) return false;
+    }
+    bool exponent = false;
+    if (p_ != end_ && *p_ == 'e') {
+      exponent = true;
+      if (++p_ == end_ || (*p_ != '+' && *p_ != '-')) return false;
+      ++p_;
+      const char* const start = p_;
+      while (p_ != end_ && is_digit(*p_)) ++p_;
+      if (p_ == start) return false;
+    }
+    const char* const token_end = p_;
+    if (!field_end(false)) return false;
+    if (!exponent && digits <= 7) {
+      out = static_cast<float>(mantissa) / kPow10[fraction];
+      return true;
+    }
+    // from_chars reports underflow to zero and overflow as out of range;
+    // subnormal and boundary results are left to stof's verdict.
+    float v = 0.0f;
+    const auto [ptr, ec] =
+        std::from_chars(from, token_end, v, std::chars_format::general);
+    if (ec != std::errc() || ptr != token_end ||
+        (v != 0.0f && !(v > FLT_MIN && v < FLT_MAX))) {
+      return false;
+    }
+    out = v;
+    return true;
+  }
+
+ private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+  static std::uint32_t digit(char c) {
+    return static_cast<std::uint32_t>(c - '0');
+  }
+
+  bool field_end(bool last) {
+    if (last) return p_ == end_;
+    if (p_ == end_ || *p_ != ',') return false;
+    ++p_;
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+}  // namespace
+
+namespace detail {
+
+bool parse_csv_sample_fast(std::string_view line, MemorySample& out) {
+  SampleCursor cursor(line);
+  MemorySample s;
+  std::uint64_t cpu = 0;
+  std::uint64_t tid = 0;
+  bool is_write = false;
+  if (!cursor.take("S") || !cursor.take_u64(s.address) ||
+      !cursor.take_u64(cpu) || !cursor.take_u64(tid) ||
+      !cursor.take_level(s.level) || !cursor.take_latency(s.latency_cycles)) {
+    return false;
+  }
+  if (cursor.take("1")) {
+    is_write = true;
+  } else if (!cursor.take("0")) {
+    return false;
+  }
+  if (!cursor.take_u64(s.cycle, /*last=*/true)) return false;
+  s.cpu = static_cast<topology::CpuId>(cpu);
+  s.tid = static_cast<std::uint32_t>(tid);
+  s.is_write = is_write;
+  out = s;
+  return true;
+}
+
+void parse_csv_record(std::string_view line, Trace& trace) {
   const auto fields = split_csv(line);
   const std::string& kind = fields[0];
   if (kind == "A") {
@@ -360,10 +651,17 @@ void parse_record(const std::string& line, Trace& trace) {
   }
 }
 
+}  // namespace detail
+
+namespace {
+
 /// Parses the record lines of a CSV `body` under `policy`.  `source` names
 /// the origin (file path or "<stream>") in every error; `first_line_no` is
 /// the 1-based line number of the first body line in the original file, so
 /// messages point at real file lines even though the header was stripped.
+/// Sample lines in the writer's own shape take the fast decoder; every
+/// other line, and every line the "trace.read" fault damages, takes the
+/// general one, which owns the error texts.
 Trace parse_records(const std::string& body, const std::string& source,
                     std::size_t first_line_no, const util::LoadPolicy& policy,
                     util::LoadStats* stats) {
@@ -371,27 +669,48 @@ Trace parse_records(const std::string& body, const std::string& source,
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   TraceMetrics& metrics = TraceMetrics::get();
-  std::istringstream is(body);
-  std::string line;
+  // A sample is one line, so the newline count bounds the sample count.
+  trace.samples.reserve(
+      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')) +
+      1);
+  const bool faults_armed = fault::armed();
+  // One batched counter add per body, as parse_binary does; a strict failure
+  // adds the lines seen so far, the failing one included, before it throws.
+  std::uint64_t seen = 0;
+  std::string damaged;
   std::size_t line_no = first_line_no - 1;
-  while (std::getline(is, line)) {
+  for (std::size_t pos = 0; pos < body.size();) {
+    const std::size_t eol = std::min(body.find('\n', pos), body.size());
+    std::string_view line(body.data() + pos, eol - pos);
+    pos = eol + 1;
     ++line_no;
-    if (trim(line).empty()) continue;
+    if (blank(line)) continue;
+    ++seen;
     ++st.records_seen;
-    metrics.records_seen.add(1);
     // Fault site "trace.read": deterministically damage this line (keyed by
     // its line number, so the decision is identical at any --jobs count).
-    if (fault::should_inject("trace.read", fault::Kind::kCorruptField,
-                             line_no)) {
+    if (faults_armed && fault::should_inject("trace.read",
+                                             fault::Kind::kCorruptField,
+                                             line_no)) {
+      damaged.assign(line);
       const std::uint64_t bit = fault::corrupt_bits("trace.read", line_no, 0);
-      const std::size_t at = static_cast<std::size_t>(bit % line.size());
-      line[at] = static_cast<char>(line[at] ^ 0x11);
+      const std::size_t at = static_cast<std::size_t>(bit % damaged.size());
+      damaged[at] = static_cast<char>(damaged[at] ^ 0x11);
+      line = damaged;
+    } else {
+      MemorySample s;
+      if (detail::parse_csv_sample_fast(line, s)) {
+        trace.samples.push_back(s);
+        ++st.records_ok;
+        continue;
+      }
     }
     try {
-      parse_record(line, trace);
+      detail::parse_csv_record(line, trace);
       ++st.records_ok;
     } catch (const Error& e) {
       if (!policy.lenient()) {
+        metrics.records_seen.add(seen);
         throw Error(source + ":" + std::to_string(line_no) + ": " + e.what(),
                     e.code());
       }
@@ -402,6 +721,7 @@ Trace parse_records(const std::string& body, const std::string& source,
       obs::flight().note("quarantine", source, line_no);
     }
   }
+  metrics.records_seen.add(seen);
   enforce_quarantine_cap(source, policy, st);
   return trace;
 }
@@ -534,8 +854,7 @@ Trace parse_binary(const std::string& body, const std::string& source,
   Trace trace;
   trace.events.reserve(events_avail);
   trace.samples.reserve(samples_avail);
-  const bool faults_armed =
-      fault::kEnabled && fault::Injector::global().armed();
+  const bool faults_armed = fault::armed();
   unsigned char scratch[kBinaryPreludeBytes];
   // Returns the record bytes to decode: the mapped body bytes, or a locally
   // damaged copy when the "trace.read" corrupt fault fires for this key.

@@ -156,7 +156,9 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
   // detectable on load exactly like real damage.
   const std::string header = format_artifact_header(kind, version, body);
   std::string damaged;
-  if (!fault_site.empty() && fault::kEnabled) {
+  // The body's crc32 only keys the fault draws, so it is computed only
+  // while a plan is armed.
+  if (!fault_site.empty() && fault::armed()) {
     const std::uint64_t key = crc32(body);
     if (fault::should_inject(fault_site, fault::Kind::kTruncateFile, key)) {
       damaged.assign(body.substr(0, body.size() / 2));

@@ -504,6 +504,75 @@ TEST(DrBwCliExplainTest, StatsHintsServeSnapshotsToTheServeFlag) {
   EXPECT_EQ(run_cli("explain --windows 0 --trace " + dir + "/raw.json"), 64);
   std::filesystem::remove_all(dir);
 }
+
+/// Like run_cli, but keeps stderr in `err_path`.
+int run_cli_err(const std::string& args, const std::string& err_path) {
+  const std::string cmd = std::string(DRBW_CLI_PATH) + " " + args +
+                          " >/dev/null 2>" + err_path;
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// A CSV latency of nan, inf or -5, or an address of -1, used to load
+/// (stoull wrapped "-1" to 2^64-1).  Binary v3 rejects such samples, and
+/// now CSV does too: a strict analyze exits 67 naming the line, a lenient
+/// one quarantines the record.
+TEST(DrBwCliExitCodeTest, NonFiniteOrNegativeCsvFieldsExit67) {
+  const std::string dir = ::testing::TempDir() + "/drbw_cli_nonfinite_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string model =
+      " --model " + std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json" +
+      " --run-dir " + dir + "/run";
+
+  const std::string corpus =
+      std::string(DRBW_TEST_DATA_DIR) + "/nonfinite_latency_trace.csv";
+  EXPECT_EQ(run_cli_err("analyze --trace " + corpus + model, dir + "/err"),
+            67);
+  EXPECT_NE(cli_read_file(dir + "/err").find(corpus +
+                                              ":7: malformed latency 'nan'"),
+            std::string::npos);
+  const int lenient = run_cli_to(
+      "analyze --trace " + corpus + model + " --load-mode lenient",
+      dir + "/out");
+  EXPECT_TRUE(lenient == 0 || lenient == 2) << lenient;
+  EXPECT_NE(cli_read_file(dir + "/out").find("(4 of 20 records quarantined)"),
+            std::string::npos);
+
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      {"S,262152,1,2,RDR,nan,1,155", "malformed latency 'nan'"},
+      {"S,262152,1,2,RDR,inf,1,155", "malformed latency 'inf'"},
+      {"S,262152,1,2,RDR,-5,1,155", "malformed latency '-5'"},
+      {"S,-1,1,2,RDR,730,1,155", "malformed number '-1'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    const std::string trace = dir + "/trace.csv";
+    {
+      std::ofstream out(trace);
+      out << "#drbw-trace v1\n"
+          << "S,262144,0,2,LDR,700,0,5\n"
+          << c.line << "\n"
+          << "S,262160,2,2,LDR,760,0,305\n"
+          << "S,262168,3,2,RDR,790,1,455\n";
+    }
+    EXPECT_EQ(run_cli_err("analyze --trace " + trace + model, dir + "/err"),
+              67);
+    EXPECT_NE(cli_read_file(dir + "/err").find(trace + ":3: " + c.message),
+              std::string::npos);
+    const int code = run_cli_to("analyze --trace " + trace + model +
+                                    " --load-mode lenient",
+                                dir + "/out");
+    EXPECT_TRUE(code == 0 || code == 2) << code;
+    EXPECT_NE(cli_read_file(dir + "/out").find("(1 of 4 records quarantined)"),
+              std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
 #endif
 
 }  // namespace
