@@ -2,7 +2,7 @@
 //
 // Builds a deterministic synthetic trace of remote-heavy PEBS samples,
 // replays it through serve::Server in three configurations, and persists
-// best-of-reps timings to BENCH_serve.json:
+// best-of-reps timings to BENCH_serve.json under the host's fingerprint:
 //   * pass-through (degraded, no model) — pure ingest/queue/drain cost,
 //   * classified at --jobs 1 — ingest + featurize + tree per window,
 //   * classified at --jobs 4 — the indexed classify fan-out,
@@ -153,6 +153,7 @@ int run_main(int argc, char** argv) {
                        "on every rep");
 
   Json result = JsonObject{};
+  result.set("host", bench::host_fingerprint());
   result.set("samples", samples);
   result.set("reps", reps);
   result.set("pass_through", timing_json(pass, samples));

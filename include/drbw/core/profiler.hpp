@@ -100,6 +100,19 @@ class Profiler {
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
                         const std::vector<pebs::MemorySample>& samples) const;
 
+  /// Attributes one sample against `tracker`'s ranges: its accessing node,
+  /// its home node, and its data object.  profile() attributes every sample
+  /// through it; callers that receive samples one batch at a time (the
+  /// serve loop) attribute each as it arrives, against one tracker.
+  AttributedSample attribute(const HeapTracker& tracker,
+                             const pebs::MemorySample& sample) const;
+
+  /// Adds one profiled scope of `total` samples, `attributed` of them to
+  /// tracked objects, to the profiler counters.  profile() counts its
+  /// scope through it; a scope assembled from samples attributed one at a
+  /// time is counted the same way when it is featurized.
+  static void count_scope(std::uint64_t total, std::uint64_t attributed);
+
  private:
   const topology::Machine& machine_;
   PageLocator& locator_;

@@ -144,6 +144,13 @@ class Injector {
   std::vector<std::pair<std::string, std::uint64_t>> counts_;  // sorted keys
 };
 
+namespace detail {
+/// Mirrors Injector::global().armed(), which arm() and disarm() keep in
+/// step.  A constant-initialized flag, so an unarmed query is answered by
+/// inline code without reaching the function-local global injector.
+constinit inline bool global_armed = false;
+}  // namespace detail
+
 /// Decision query; compiled out to a constant under -DDRBW_FAULT=OFF.
 inline bool should_inject(std::string_view site, Kind kind,
                           std::uint64_t key) {
@@ -153,6 +160,7 @@ inline bool should_inject(std::string_view site, Kind kind,
     (void)key;
     return false;
   } else {
+    if (!detail::global_armed) return false;
     return Injector::global().should_inject(site, kind, key);
   }
 }
@@ -163,7 +171,7 @@ inline bool armed() {
   if constexpr (!kEnabled) {
     return false;
   } else {
-    return Injector::global().armed();
+    return detail::global_armed;
   }
 }
 

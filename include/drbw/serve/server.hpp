@@ -11,10 +11,12 @@
 //      its BoundedQueue in client/ordinal order, under the configured
 //      overload policy (block | shed-oldest | reject);
 //   2. drain — up to drain_per_tick samples per client move from the queue
-//      into the client's sliding window buffer;
-//   3. classify — non-empty buffers are featurized and classified with the
-//      trained tree, fanned out over util::TaskPool into indexed slots and
-//      applied serially, so results are byte-identical at any jobs count.
+//      into the client's sliding window buffer, each attributed (channel,
+//      data object) once, as it moves;
+//   3. classify — non-empty buffers are featurized straight from their
+//      attributed samples and classified with the trained tree, fanned out
+//      over util::TaskPool into indexed slots and applied serially, so
+//      results are byte-identical at any jobs count.
 //
 // Robustness contract:
 //   * Four fault sites guard the hot path — serve.ingest (per sample,

@@ -46,12 +46,7 @@ ProfileResult Profiler::profile(
   result.tracker.on_events(events);
 
   for (const pebs::MemorySample& sample : samples) {
-    AttributedSample attributed;
-    attributed.sample = sample;
-    attributed.src_node = machine_.node_of_cpu(sample.cpu);
-    attributed.home_node = locator_.locate(sample.address, attributed.src_node);
-    attributed.object = result.tracker.object_of(sample.address);
-
+    const AttributedSample attributed = attribute(result.tracker, sample);
     const int index = machine_.channel_index(
         topology::ChannelId{attributed.src_node, attributed.home_node});
     if (attributed.object != kUnknownObject) ++result.attributed_samples;
@@ -59,11 +54,25 @@ ProfileResult Profiler::profile(
     result.channels[static_cast<std::size_t>(index)].samples.push_back(
         attributed);
   }
+  count_scope(result.total_samples, result.attributed_samples);
+  return result;
+}
+
+AttributedSample Profiler::attribute(const HeapTracker& tracker,
+                                     const pebs::MemorySample& sample) const {
+  AttributedSample attributed;
+  attributed.sample = sample;
+  attributed.src_node = machine_.node_of_cpu(sample.cpu);
+  attributed.home_node = locator_.locate(sample.address, attributed.src_node);
+  attributed.object = tracker.object_of(sample.address);
+  return attributed;
+}
+
+void Profiler::count_scope(std::uint64_t total, std::uint64_t attributed) {
   ProfilerMetrics& metrics = ProfilerMetrics::get();
   metrics.calls.add(1);
-  metrics.attributed.add(result.attributed_samples);
-  metrics.unattributed.add(result.total_samples - result.attributed_samples);
-  return result;
+  metrics.attributed.add(attributed);
+  metrics.unattributed.add(total - attributed);
 }
 
 std::vector<const AttributedSample*> ProfileResult::samples_from(

@@ -156,11 +156,13 @@ std::string Plan::to_string() const {
 void Injector::arm(Plan plan) {
   plan_ = std::move(plan);
   armed_ = true;
+  if (this == &global()) detail::global_armed = true;
   reset_counts();
 }
 
 void Injector::disarm() {
   armed_ = false;
+  if (this == &global()) detail::global_armed = false;
   plan_ = Plan{};
   reset_counts();
 }

@@ -1,5 +1,8 @@
 #include "drbw/features/selected.hpp"
 
+#include <algorithm>
+
+#include "drbw/util/error.hpp"
 #include "drbw/util/stats.hpp"
 
 namespace drbw::features {
@@ -115,25 +118,90 @@ FeatureVector extract_run(const core::ProfileResult& profile) {
   return acc.finish();
 }
 
-std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
-                                              const topology::Machine& machine) {
-  std::vector<ChannelFeatures> out;
-  for (int src = 0; src < machine.num_nodes(); ++src) {
-    // One pass over the source node's samples fills all of its channels.
-    Accumulator acc(machine.num_nodes());
-    for (const core::ChannelProfile& channel : profile.channels) {
-      if (channel.channel.src != src) continue;
-      for (const core::AttributedSample& s : channel.samples) acc.add(s);
+namespace {
+
+/// The one channel-featurize driver.  `ordered` holds a scope's samples
+/// grouped by source node, source s in [begin[s], begin[s + 1]), each group
+/// in the order its Accumulator must see it.  The sources' accumulators
+/// advance in lockstep, one sample each per round, so their independent
+/// Welford chains overlap instead of running one after another; each still
+/// sees exactly its own order, so every value is bit-for-bit what one pass
+/// per source gives.
+std::vector<ChannelFeatures> featurize_sources(
+    const std::vector<const core::AttributedSample*>& ordered,
+    const std::vector<std::size_t>& begin, const topology::Machine& machine) {
+  const int nodes = machine.num_nodes();
+  std::vector<Accumulator> acc(static_cast<std::size_t>(nodes),
+                               Accumulator(nodes));
+  std::size_t rounds = 0;
+  for (int src = 0; src < nodes; ++src) {
+    const auto s = static_cast<std::size_t>(src);
+    rounds = std::max(rounds, begin[s + 1] - begin[s]);
+  }
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t s = 0; s < acc.size(); ++s) {
+      const std::size_t at = begin[s] + round;
+      if (at < begin[s + 1]) acc[s].add(*ordered[at]);
     }
-    for (int dst = 0; dst < machine.num_nodes(); ++dst) {
+  }
+  std::vector<ChannelFeatures> out;
+  out.reserve(static_cast<std::size_t>(nodes * (nodes - 1)));
+  for (int src = 0; src < nodes; ++src) {
+    for (int dst = 0; dst < nodes; ++dst) {
       if (dst == src) continue;  // detection targets remote channels only
       ChannelFeatures cf;
       cf.channel = topology::ChannelId{src, dst};
-      cf.features = acc.finish(dst);
+      cf.features = acc[static_cast<std::size_t>(src)].finish(dst);
       out.push_back(std::move(cf));
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
+                                              const topology::Machine& machine) {
+  // Channel-major per source: the profile's channel order, then arrival.
+  const int nodes = machine.num_nodes();
+  std::vector<const core::AttributedSample*> ordered;
+  ordered.reserve(profile.total_samples);
+  std::vector<std::size_t> begin(static_cast<std::size_t>(nodes) + 1, 0);
+  for (int src = 0; src < nodes; ++src) {
+    for (const core::ChannelProfile& channel : profile.channels) {
+      if (channel.channel.src != src) continue;
+      for (const core::AttributedSample& s : channel.samples) {
+        ordered.push_back(&s);
+      }
+    }
+    begin[static_cast<std::size_t>(src) + 1] = ordered.size();
+  }
+  return featurize_sources(ordered, begin, machine);
+}
+
+std::vector<ChannelFeatures> extract_channels(
+    const std::vector<core::AttributedSample>& samples,
+    const topology::Machine& machine) {
+  // Stable counting sort by channel index (Machine::channel_index,
+  // src * nodes + home): each source's channels are one contiguous run, so
+  // the sorted order is channel-major per source, then arrival.
+  const auto nodes = static_cast<std::size_t>(machine.num_nodes());
+  const auto channel_of = [nodes](const core::AttributedSample& s) {
+    const auto src = static_cast<std::size_t>(s.src_node);
+    const auto home = static_cast<std::size_t>(s.home_node);
+    DRBW_CHECK(src < nodes && home < nodes);
+    return src * nodes + home;
+  };
+  std::vector<std::size_t> next(nodes * nodes + 1, 0);
+  for (const core::AttributedSample& s : samples) ++next[channel_of(s) + 1];
+  for (std::size_t c = 1; c < next.size(); ++c) next[c] += next[c - 1];
+  std::vector<std::size_t> begin(nodes + 1);
+  for (std::size_t src = 0; src <= nodes; ++src) begin[src] = next[src * nodes];
+  std::vector<const core::AttributedSample*> ordered(samples.size());
+  for (const core::AttributedSample& s : samples) {
+    ordered[next[channel_of(s)]++] = &s;
+  }
+  return featurize_sources(ordered, begin, machine);
 }
 
 }  // namespace drbw::features

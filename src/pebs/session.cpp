@@ -12,8 +12,13 @@ std::vector<ClientSession> slice_sessions(const Trace& trace,
   if (clients == 0) {
     throw Error("slice_sessions: clients must be >= 1", ErrorCode::kUsage);
   }
+  std::vector<std::size_t> sizes(clients, 0);
+  for (const MemorySample& sample : trace.samples) ++sizes[sample.tid % clients];
   std::vector<ClientSession> sessions(clients);
-  for (std::uint32_t c = 0; c < clients; ++c) sessions[c].client = c;
+  for (std::uint32_t c = 0; c < clients; ++c) {
+    sessions[c].client = c;
+    sessions[c].samples.reserve(sizes[c]);
+  }
   for (std::size_t i = 0; i < trace.samples.size(); ++i) {
     const MemorySample& sample = trace.samples[i];
     ClientSession& session = sessions[sample.tid % clients];

@@ -51,12 +51,14 @@ struct ClientState {
   std::size_t cursor = 0;  ///< next unconsumed session sample
   /// Offers pushed back under block, oldest first; re-offered next tick.
   std::deque<pebs::SessionSample> backlog;
-  std::vector<pebs::MemorySample> buffer;     ///< sliding classify window
+  /// Sliding classify window, each sample attributed once as it drains.
+  std::vector<core::AttributedSample> buffer;
   int consecutive_faults = 0;
   // Model-health accounting (touched only when a model is present).
   std::vector<double> window_confidences;
   std::uint64_t rows_classified = 0;
   ml::DriftBaseline serving;  ///< serving-side drift histograms
+  double drift_score = 0.0;   ///< drift of `serving`, refreshed on merge
 };
 
 const char* bool_token(bool v) { return v ? "true" : "false"; }
@@ -186,7 +188,13 @@ ServeResult Server::run(const pebs::Trace& trace) {
 
   const std::vector<pebs::ClientSession> sessions =
       pebs::slice_sessions(trace, clients);
+  // Each sample is attributed once, when it drains, against one tracker
+  // per run; the trace's allocation events replay into it when the first
+  // sample drains, so a run that never classifies never replays them.
   core::MasterNodeLocator locator;
+  const core::Profiler profiler(machine_, locator);
+  core::HeapTracker tracker;
+  bool tracker_ready = false;
   util::TaskPool pool(options_.jobs);
 
   std::vector<ClientState> states(clients);
@@ -267,7 +275,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         mh.confidence_min = *std::min_element(st.window_confidences.begin(),
                                               st.window_confidences.end());
       }
-      mh.drift_score = drift_of(st);
+      mh.drift_score = st.drift_score;
       mh.drift_suspected = options_.drift_threshold > 0.0 && mh.windows > 0 &&
                            mh.drift_score >= options_.drift_threshold;
       if (mh.drift_suspected) ++out.drift_suspected_clients;
@@ -425,9 +433,13 @@ ServeResult Server::run(const pebs::Trace& trace) {
       ClientState& st = states[c];
       if (st.stats.quarantined) continue;
       const std::vector<pebs::SessionSample> batch = queues[c].drain(drain_n);
-      if (batch.empty()) continue;
+      if (batch.empty() || model_ == nullptr) continue;  // nothing to classify
+      if (!tracker_ready) {
+        tracker.on_events(trace.events);
+        tracker_ready = true;
+      }
       for (const pebs::SessionSample& queued : batch) {
-        st.buffer.push_back(queued.sample);
+        st.buffer.push_back(profiler.attribute(tracker, queued.sample));
       }
       if (st.buffer.size() > options_.window_capacity) {
         st.buffer.erase(st.buffer.begin(),
@@ -435,7 +447,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
                             static_cast<std::ptrdiff_t>(
                                 st.buffer.size() - options_.window_capacity));
       }
-      if (model_ != nullptr) slots[c].candidate = true;
+      slots[c].candidate = true;
     }
 
     // -- classify (indexed fan-out; applied serially below) ----------------
@@ -456,9 +468,22 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.window_fault = true;
         return;
       }
-      core::Profiler profiler(machine_, locator);
-      const core::ProfileResult profile =
-          profiler.profile(trace.events, states[i].buffer);
+      const std::vector<core::AttributedSample>& buffer = states[i].buffer;
+      std::vector<features::ChannelFeatures> channels;
+      {
+        // The window's profile is its buffer, attributed on arrival; it is
+        // counted as one profiled scope, as Profiler::profile counts one.
+        obs::Span profile_span("profile");
+        profile_span.arg("samples", static_cast<double>(buffer.size()));
+        channels = features::extract_channels(buffer, machine_);
+        core::Profiler::count_scope(
+            buffer.size(),
+            static_cast<std::uint64_t>(std::count_if(
+                buffer.begin(), buffer.end(),
+                [](const core::AttributedSample& s) {
+                  return s.object != core::kUnknownObject;
+                })));
+      }
       const RetryOutcome classify = attempt_with_backoff(
           options_.max_retries, options_.backoff_cycles,
           [&](std::uint64_t attempt) {
@@ -473,7 +498,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       }
       double confidence = 1.0;
       for (const ml::ChannelVerdict& v : ml::classify_channels(
-               profile, machine_, *model_,
+               channels, *model_,
                {options_.min_window_samples, options_.min_remote_samples})) {
         if (v.sparse) continue;
         if (drift_on && slot.rows == 0) slot.drift.resize(num_features);
@@ -512,7 +537,10 @@ ServeResult Server::run(const pebs::Trace& trace) {
         st.window_confidences.push_back(slot.confidence);
         tick_confidences.push_back(slot.confidence);
         st.rows_classified += slot.rows;
-        if (drift_on) st.serving.merge(slot.drift);
+        if (drift_on) {
+          st.serving.merge(slot.drift);
+          st.drift_score = drift_of(st);
+        }
       }
     }
 
@@ -521,10 +549,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
       // the running max across clients so the rendered timeline shows when
       // serving traffic left the training distribution.
       double drift_now = 0.0;
-      if (drift_on) {
-        for (const ClientState& st : states) {
-          drift_now = std::max(drift_now, drift_of(st));
-        }
+      for (const ClientState& st : states) {
+        drift_now = std::max(drift_now, st.drift_score);
       }
       result.timeline.push_back(TimelineRow{tick, 1, tick_windows, tick_rmc,
                                             lower_median(tick_confidences),

@@ -120,6 +120,24 @@ TEST(FaultInjector, DecisionsArePureFunctionsOfKey) {
   EXPECT_LT(fires, 400u);
 }
 
+TEST(FaultInjector, FreeQueriesFollowOnlyTheGlobalInjector) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with fault compiled out";
+  // Arming a private injector must not arm the process-wide queries.
+  fault::Injector local;
+  local.arm(fault::Plan::parse("seed=1,site.x:drop:1"));
+  EXPECT_FALSE(fault::armed());
+  EXPECT_FALSE(fault::should_inject("site.x", fault::Kind::kDropSample, 3));
+
+  fault::Injector::global().arm(fault::Plan::parse("seed=1,site.x:drop:1"));
+  EXPECT_TRUE(fault::armed());
+  EXPECT_TRUE(fault::should_inject("site.x", fault::Kind::kDropSample, 3));
+  local.disarm();
+  EXPECT_TRUE(fault::armed());
+  fault::Injector::global().disarm();
+  EXPECT_FALSE(fault::armed());
+  EXPECT_FALSE(fault::should_inject("site.x", fault::Kind::kDropSample, 3));
+}
+
 TEST(FaultInjector, RateEndpointsAreExact) {
   fault::Injector injector;
   injector.arm(fault::Plan::parse("seed=1,a:drop:0,b:drop:1"));

@@ -187,6 +187,58 @@ TEST_F(FeaturesTest, ChannelScopeIsBitExactAgainstPerDestinationScan) {
   }
 }
 
+TEST_F(FeaturesTest, WindowOfAttributedSamplesEqualsProfiledScope) {
+  // Data homed on every node, read from every node in an interleaved
+  // arrival order, so each source's samples arrive mixed across channels:
+  // the window path must still hand each source its samples channel-major,
+  // then in arrival order, as profile() files them.
+  std::vector<mem::Addr> bases;
+  for (int node = 0; node < machine_.num_nodes(); ++node) {
+    const auto obj = space_.allocate("x.c:" + std::to_string(node) + " d",
+                                     1 << 20, PlacementSpec::bind(node));
+    bases.push_back(space_.object(obj).base);
+  }
+  const std::vector<mem::AllocationEvent> events = space_.drain_events();
+  const pebs::MemLevel levels[] = {
+      pebs::MemLevel::kRemoteDram, pebs::MemLevel::kRemoteDram,
+      pebs::MemLevel::kLocalDram, pebs::MemLevel::kLfb, pebs::MemLevel::kL2};
+  std::vector<pebs::MemorySample> samples;
+  std::uint64_t lcg = 777;
+  for (int i = 0; i < 900; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto src = static_cast<topology::NodeId>((lcg >> 33) % 4);
+    const auto& cpus = machine_.cpus_of_node(src);
+    samples.push_back(sample(
+        bases[(lcg >> 40) % bases.size()] + 64 * ((lcg >> 24) % 4096),
+        cpus[(lcg >> 50) % cpus.size()], levels[(lcg >> 20) % 5],
+        static_cast<float>((lcg >> 44) % 1500) +
+            0.37f * static_cast<float>(i % 7)));
+  }
+
+  const auto profiled = extract_channels(profiler_.profile(events, samples),
+                                         machine_);
+  core::HeapTracker tracker;
+  tracker.on_events(events);
+  std::vector<core::AttributedSample> window;
+  for (const pebs::MemorySample& s : samples) {
+    window.push_back(profiler_.attribute(tracker, s));
+  }
+  const auto windowed = extract_channels(window, machine_);
+
+  ASSERT_EQ(windowed.size(), profiled.size());
+  for (std::size_t c = 0; c < profiled.size(); ++c) {
+    ASSERT_EQ(windowed[c].channel, profiled[c].channel);
+    EXPECT_GT(profiled[c].features.remote_dram_count(), 0.0);
+    EXPECT_EQ(windowed[c].features.scope_samples,
+              profiled[c].features.scope_samples);
+    for (std::size_t k = 0; k < kNumSelected; ++k) {
+      EXPECT_EQ(windowed[c].features.values[k], profiled[c].features.values[k])
+          << "channel " << profiled[c].channel.src << "->"
+          << profiled[c].channel.dst << " feature " << k;
+    }
+  }
+}
+
 TEST_F(FeaturesTest, NamesAndKeysAligned) {
   EXPECT_EQ(selected_feature_names().size(), 13u);
   EXPECT_EQ(selected_feature_keys().size(), 13u);

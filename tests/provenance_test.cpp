@@ -85,6 +85,7 @@ TEST(FlightRecorderTest, BoundedRingCountsDrops) {
 TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
   auto& flight = obs::FlightRecorder::instance();
   flight.disable();
+  flight.clear();  // the process-wide recorder may hold earlier tests' events
   flight.note("stage", "ignored");
   EXPECT_FALSE(flight.enabled());
   EXPECT_EQ(flight.event_count(), 0u);
