@@ -6,9 +6,12 @@
 // DrBw wraps a trained ml::Classifier and, given a run's sample stream,
 // produces a Report: a per-remote-channel verdict, the overall good/rmc
 // call, and — when contention is detected — the ranked Contribution
-// Fractions of the data objects responsible.  This is the class the example
-// programs and the evaluation harnesses drive; everything below it
-// (sampling, channel association, attribution) is reusable on its own.
+// Fractions of the data objects responsible.  Windowed analysis takes the
+// window path serve and `drbw explain` share (ml::classify_windows): one
+// allocation-table replay, each sample attributed once, a verdict per
+// window and no diagnosis.  This is the class the example programs and the
+// evaluation harnesses drive; everything below it (sampling, channel
+// association, attribution) is reusable on its own.
 #pragma once
 
 #include <string>
@@ -52,6 +55,8 @@ struct WindowVerdict {
   std::size_t samples = 0;
   bool rmc = false;
   std::vector<topology::ChannelId> contended;
+  /// Every remote channel's verdict, sparse included (none if no samples).
+  std::vector<ChannelVerdict> channels;
 };
 
 class DrBw {
@@ -67,18 +72,11 @@ class DrBw {
   /// Same, for a pre-built profile (replayed traces, tests).
   Report analyze_profile(core::ProfileResult profile) const;
 
-  /// Phase-aware detection: slices the run's sample stream into fixed
-  /// windows of `window_cycles` and classifies each window's channels
-  /// independently.  Latency-profile features are duration-free, so the
-  /// whole-run model applies; count features shrink with the window, which
-  /// only makes windowed detection more conservative.
-  std::vector<WindowVerdict> analyze_windows(const sim::RunResult& run,
-                                             core::PageLocator& locator,
-                                             std::uint64_t window_cycles) const;
-
-  /// Same, for windows already cut by pebs::split_cycle_windows.
-  /// Allocation events carry no timestamps, so `events` is the allocation
-  /// table of every window (the real tool keeps it live across the run).
+  /// Phase-aware detection over windows cut by pebs::split_cycle_windows,
+  /// under this tool's gates.  Latency-profile features are duration-free,
+  /// so the whole-run model applies; count features shrink with the window,
+  /// which only makes windowed detection more conservative.  Allocation
+  /// events carry no timestamps, so `events` is every window's table.
   std::vector<WindowVerdict> analyze_windows(
       const std::vector<mem::AllocationEvent>& events,
       const std::vector<pebs::CycleWindow>& windows,

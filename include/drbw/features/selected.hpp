@@ -94,12 +94,13 @@ FeatureVector extract_run(const core::ProfileResult& profile);
 std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
                                               const topology::Machine& machine);
 
-/// The same scopes over samples already attributed one at a time, in
-/// arrival order (a serve window), with no ProfileResult in between.  Each
-/// source node sees its samples in the order profile() would file them —
-/// channel index, then arrival — so the result equals, value for value,
+/// The window featurize step of serve, `drbw analyze --windows` and
+/// `drbw explain`: the same scopes over samples attributed one at a time,
+/// counted as one profiled scope under the "profile" span.  Each source
+/// node sees its samples in the order profile() would file them — channel
+/// index, then arrival — so the result equals, value for value,
 /// extract_channels(Profiler::profile(...)) over the same samples.
-std::vector<ChannelFeatures> extract_channels(
+std::vector<ChannelFeatures> extract_window(
     const std::vector<core::AttributedSample>& samples,
     const topology::Machine& machine);
 

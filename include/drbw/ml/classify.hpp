@@ -16,6 +16,7 @@
 #include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/obs/metrics.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/topology/machine.hpp"
 
 namespace drbw::ml {
@@ -38,10 +39,16 @@ std::vector<ChannelVerdict> classify_channels(
     const std::vector<features::ChannelFeatures>& channels,
     const Classifier& model, const features::Gates& gates);
 
-/// Featurizes every remote channel of `profile`, then classifies them.
-std::vector<ChannelVerdict> classify_channels(
-    const core::ProfileResult& profile, const topology::Machine& machine,
-    const Classifier& model, const features::Gates& gates);
+/// The window path of `drbw analyze --windows` and `drbw explain`: replays
+/// `events` into one HeapTracker, then across `jobs` workers (0 = one per
+/// hardware thread; `locator` must then allow concurrent calls) attributes
+/// each window's samples once, featurizes them with features::extract_window
+/// and classifies them.  Entry w holds window w's verdicts, none if empty.
+std::vector<std::vector<ChannelVerdict>> classify_windows(
+    const std::vector<mem::AllocationEvent>& events,
+    const std::vector<pebs::CycleWindow>& windows,
+    const topology::Machine& machine, core::PageLocator& locator,
+    const Classifier& model, const features::Gates& gates, int jobs);
 
 /// The drbw_model_confidence_bucket histogram (leaf-purity confidence in
 /// percent) shared by serve and explain.

@@ -1,13 +1,14 @@
 // `drbw explain` — model observability for a windowed trace.
 //
-// Every cycle window's channels go through ml::classify_channels under
-// features::kWindowGates (the serve loop's gates), and each admitted verdict
-// keeps its decision path, leaf-purity confidence, and Saabas-style
-// per-feature attribution.  The aggregate — decision-path frequency,
-// attribution means, confidence summary — renders as the checksummed
-// `#drbw-explain v1` JSON artifact and as a per-window Markdown report.
-// Windows are explained in an indexed fan-out and aggregated in window
-// order, so every output is byte-identical at any jobs count.
+// Every cycle window goes through ml::classify_windows, the window path
+// serve and `drbw analyze --windows` share, under features::kWindowGates
+// (the serve loop's gates); each admitted verdict keeps its decision path,
+// leaf-purity confidence, and Saabas-style per-feature attribution.  The
+// aggregate — decision-path frequency, attribution means, confidence
+// summary — renders as the checksummed `#drbw-explain v1` JSON artifact and
+// as a per-window Markdown report.  Windows are explained in an indexed
+// fan-out and aggregated in window order, so every output is byte-identical
+// at any jobs count.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,8 @@ struct ExplainResult {
 
 /// Explains `windows` against the allocation table `events` across `jobs`
 /// workers (0 = one per hardware thread) under the "explain" span, and
-/// observes each verdict's confidence into ml::confidence_histogram().
+/// observes each explained window's lowest verdict confidence into
+/// ml::confidence_histogram().
 ExplainResult explain_windows(const topology::Machine& machine,
                               const ml::Classifier& model,
                               const std::vector<mem::AllocationEvent>& events,

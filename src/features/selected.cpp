@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "drbw/obs/trace.hpp"
 #include "drbw/util/error.hpp"
 #include "drbw/util/stats.hpp"
 
@@ -179,9 +180,11 @@ std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile
   return featurize_sources(ordered, begin, machine);
 }
 
-std::vector<ChannelFeatures> extract_channels(
+std::vector<ChannelFeatures> extract_window(
     const std::vector<core::AttributedSample>& samples,
     const topology::Machine& machine) {
+  obs::Span span("profile");
+  span.arg("samples", static_cast<double>(samples.size()));
   // Stable counting sort by channel index (Machine::channel_index,
   // src * nodes + home): each source's channels are one contiguous run, so
   // the sorted order is channel-major per source, then arrival.
@@ -193,7 +196,12 @@ std::vector<ChannelFeatures> extract_channels(
     return src * nodes + home;
   };
   std::vector<std::size_t> next(nodes * nodes + 1, 0);
-  for (const core::AttributedSample& s : samples) ++next[channel_of(s) + 1];
+  std::uint64_t attributed = 0;
+  for (const core::AttributedSample& s : samples) {
+    ++next[channel_of(s) + 1];
+    if (s.object != core::kUnknownObject) ++attributed;
+  }
+  core::Profiler::count_scope(samples.size(), attributed);
   for (std::size_t c = 1; c < next.size(); ++c) next[c] += next[c - 1];
   std::vector<std::size_t> begin(nodes + 1);
   for (std::size_t src = 0; src <= nodes; ++src) begin[src] = next[src * nodes];

@@ -1,5 +1,7 @@
 #include "drbw/ml/classify.hpp"
 
+#include "drbw/util/task_pool.hpp"
+
 namespace drbw::ml {
 
 std::vector<ChannelVerdict> classify_channels(
@@ -18,11 +20,28 @@ std::vector<ChannelVerdict> classify_channels(
   return verdicts;
 }
 
-std::vector<ChannelVerdict> classify_channels(
-    const core::ProfileResult& profile, const topology::Machine& machine,
-    const Classifier& model, const features::Gates& gates) {
-  return classify_channels(features::extract_channels(profile, machine), model,
-                           gates);
+std::vector<std::vector<ChannelVerdict>> classify_windows(
+    const std::vector<mem::AllocationEvent>& events,
+    const std::vector<pebs::CycleWindow>& windows,
+    const topology::Machine& machine, core::PageLocator& locator,
+    const Classifier& model, const features::Gates& gates, int jobs) {
+  core::HeapTracker tracker;
+  tracker.on_events(events);
+  const core::Profiler profiler(machine, locator);
+  std::vector<std::vector<ChannelVerdict>> verdicts(windows.size());
+  util::TaskPool pool(jobs);
+  pool.parallel_for(windows.size(), [&](std::size_t w) {
+    const std::vector<pebs::MemorySample>& samples = windows[w].samples;
+    if (samples.empty()) return;
+    std::vector<core::AttributedSample> attributed;
+    attributed.reserve(samples.size());
+    for (const pebs::MemorySample& sample : samples) {
+      attributed.push_back(profiler.attribute(tracker, sample));
+    }
+    verdicts[w] = classify_channels(
+        features::extract_window(attributed, machine), model, gates);
+  });
+  return verdicts;
 }
 
 obs::Histogram& confidence_histogram() {

@@ -9,7 +9,6 @@
 #include "drbw/util/json.hpp"
 #include "drbw/util/stats.hpp"
 #include "drbw/util/strings.hpp"
-#include "drbw/util/task_pool.hpp"
 
 namespace drbw::report {
 
@@ -18,27 +17,12 @@ ExplainResult explain_windows(const topology::Machine& machine,
                               const std::vector<mem::AllocationEvent>& events,
                               const std::vector<pebs::CycleWindow>& windows,
                               int jobs) {
+  obs::Span explain_span("explain");
   ExplainResult result;
-  result.windows.resize(windows.size());
   core::MasterNodeLocator locator;
-  {
-    obs::Span explain_span("explain");
-    util::TaskPool pool(jobs);
-    pool.parallel_for(windows.size(), [&](std::size_t w) {
-      const pebs::CycleWindow& in = windows[w];
-      ExplainWindow& out = result.windows[w];
-      out.start = in.start;
-      out.end = in.end;
-      out.samples = in.samples.size();
-      if (in.samples.empty()) return;
-      core::Profiler profiler(machine, locator);
-      for (ml::ChannelVerdict& v : ml::classify_channels(
-               profiler.profile(events, in.samples), machine, model,
-               features::kWindowGates)) {
-        if (!v.sparse) out.verdicts.push_back(std::move(v));
-      }
-    });
-  }
+  std::vector<std::vector<ml::ChannelVerdict>> classified =
+      ml::classify_windows(events, windows, machine, locator, model,
+                           features::kWindowGates, jobs);
 
   // Serial aggregation in window order: decision-path frequency,
   // per-feature attribution sums, and the confidence summary.
@@ -48,11 +32,13 @@ ExplainResult explain_windows(const topology::Machine& machine,
   std::vector<double> attr_abs(num_features, 0.0);
   std::vector<double> confidences;
   obs::Histogram& conf_hist = ml::confidence_histogram();
-  for (const ExplainWindow& window : result.windows) {
-    if (window.verdicts.empty()) continue;
-    ++result.windows_explained;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    ExplainWindow& window = result.windows.emplace_back(ExplainWindow{
+        windows[w].start, windows[w].end, windows[w].samples.size(), {}});
     bool window_rmc = false;
-    for (const ml::ChannelVerdict& v : window.verdicts) {
+    double window_confidence = 1.0;
+    for (ml::ChannelVerdict& v : classified[w]) {
+      if (v.sparse) continue;
       const ml::Explanation& exp = v.explanation;
       ++result.rows;
       if (v.rmc()) {
@@ -60,7 +46,7 @@ ExplainResult explain_windows(const topology::Machine& machine,
         window_rmc = true;
       }
       confidences.push_back(exp.confidence);
-      conf_hist.observe(ml::confidence_percent(exp.confidence));
+      window_confidence = std::min(window_confidence, exp.confidence);
       PathTally& tally = paths[exp.path_signature()];
       ++tally.count;
       if (v.rmc()) ++tally.rmc;
@@ -68,8 +54,12 @@ ExplainResult explain_windows(const topology::Machine& machine,
         attr_sum[f] += exp.attributions[f];
         attr_abs[f] += std::abs(exp.attributions[f]);
       }
+      window.verdicts.push_back(std::move(v));
     }
+    if (window.verdicts.empty()) continue;
+    ++result.windows_explained;
     if (window_rmc) ++result.windows_rmc;
+    conf_hist.observe(ml::confidence_percent(window_confidence));
   }
   result.confidence_p50 = lower_median(confidences);
   result.confidence_min =

@@ -312,8 +312,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
     std::uint64_t retries = 0;
     std::uint64_t backoff_cycles = 0;
     // Model-health payload, merged serially after the fan-out.
-    bool has_confidence = false;
-    double confidence = 0.0;  ///< min row confidence in the window
+    double confidence = 1.0;  ///< min row confidence, when rows > 0
     std::uint64_t rows = 0;
     ml::DriftBaseline drift;
   };
@@ -468,22 +467,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.window_fault = true;
         return;
       }
-      const std::vector<core::AttributedSample>& buffer = states[i].buffer;
-      std::vector<features::ChannelFeatures> channels;
-      {
-        // The window's profile is its buffer, attributed on arrival; it is
-        // counted as one profiled scope, as Profiler::profile counts one.
-        obs::Span profile_span("profile");
-        profile_span.arg("samples", static_cast<double>(buffer.size()));
-        channels = features::extract_channels(buffer, machine_);
-        core::Profiler::count_scope(
-            buffer.size(),
-            static_cast<std::uint64_t>(std::count_if(
-                buffer.begin(), buffer.end(),
-                [](const core::AttributedSample& s) {
-                  return s.object != core::kUnknownObject;
-                })));
-      }
+      const std::vector<features::ChannelFeatures> channels =
+          features::extract_window(states[i].buffer, machine_);
       const RetryOutcome classify = attempt_with_backoff(
           options_.max_retries, options_.backoff_cycles,
           [&](std::uint64_t attempt) {
@@ -496,7 +481,6 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.classify_fault = true;
         return;
       }
-      double confidence = 1.0;
       for (const ml::ChannelVerdict& v : ml::classify_channels(
                channels, *model_,
                {options_.min_window_samples, options_.min_remote_samples})) {
@@ -504,12 +488,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
         if (drift_on && slot.rows == 0) slot.drift.resize(num_features);
         ++slot.rows;
         if (v.rmc()) slot.rmc = true;
-        confidence = std::min(confidence, v.explanation.confidence);
+        slot.confidence = std::min(slot.confidence, v.explanation.confidence);
         if (drift_on) model_->observe_drift(v.features.as_row(), slot.drift);
-      }
-      if (slot.rows > 0) {
-        slot.confidence = confidence;
-        slot.has_confidence = true;
       }
     });
 
@@ -533,7 +513,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         ++st.stats.windows_rmc;
         ++tick_rmc;
       }
-      if (slot.has_confidence) {
+      if (slot.rows > 0) {
         st.window_confidences.push_back(slot.confidence);
         tick_confidences.push_back(slot.confidence);
         st.rows_classified += slot.rows;

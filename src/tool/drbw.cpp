@@ -63,26 +63,21 @@ Report DrBw::analyze_profile(core::ProfileResult profile) const {
 }
 
 std::vector<WindowVerdict> DrBw::analyze_windows(
-    const sim::RunResult& run, core::PageLocator& locator,
-    std::uint64_t window_cycles) const {
-  return analyze_windows(
-      run.alloc_events,
-      pebs::split_cycle_windows(run.samples, run.total_cycles, window_cycles),
-      locator);
-}
-
-std::vector<WindowVerdict> DrBw::analyze_windows(
     const std::vector<mem::AllocationEvent>& events,
     const std::vector<pebs::CycleWindow>& windows,
     core::PageLocator& locator) const {
-  core::Profiler profiler(machine_, locator);
+  std::vector<std::vector<ChannelVerdict>> classified = ml::classify_windows(
+      events, windows, machine_, locator, model_, gates_, /*jobs=*/1);
   std::vector<WindowVerdict> verdicts;
-  for (const pebs::CycleWindow& window : windows) {
-    const Report report =
-        analyze_profile(profiler.profile(events, window.samples));
-    verdicts.push_back(WindowVerdict{window.start, window.end,
-                                     window.samples.size(), report.rmc,
-                                     report.contended});
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    WindowVerdict& verdict = verdicts.emplace_back(
+        WindowVerdict{windows[w].start, windows[w].end,
+                      windows[w].samples.size(), false, {},
+                      std::move(classified[w])});
+    for (const ChannelVerdict& v : verdict.channels) {
+      if (v.rmc()) verdict.contended.push_back(v.channel);
+    }
+    verdict.rmc = !verdict.contended.empty();
   }
   return verdicts;
 }

@@ -3,6 +3,7 @@
 // (profile -> per-channel features -> classify -> diagnose).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,8 @@
 #include "drbw/report/explain.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
+#include "drbw/workloads/benchmark.hpp"
+#include "drbw/workloads/suite.hpp"
 
 namespace drbw {
 namespace {
@@ -233,8 +236,11 @@ TEST_F(DrBwToolTest, WindowedAnalysisSeparatesPhases) {
   core::AddressSpaceLocator locator(space);
 
   ASSERT_EQ(run.phases.size(), 2u);
-  const auto verdicts =
-      tool.analyze_windows(run, locator, run.phases[0].cycles);
+  const auto verdicts = tool.analyze_windows(
+      run.alloc_events,
+      pebs::split_cycle_windows(run.samples, run.total_cycles,
+                                run.phases[0].cycles),
+      locator);
   ASSERT_GE(verdicts.size(), 2u);
   EXPECT_FALSE(verdicts.front().rmc);  // the quiet phase
   bool any_late_rmc = false;
@@ -266,16 +272,20 @@ TEST_F(DrBwToolTest, WindowedAnalysisValidatesArguments) {
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 2, 4, false, 100'000, 321);
   core::AddressSpaceLocator locator(space);
-  EXPECT_THROW(tool.analyze_windows(run, locator, 0), Error);
-  const auto verdicts = tool.analyze_windows(run, locator, 1ull << 62);
+  EXPECT_THROW(pebs::split_cycle_windows(run.samples, run.total_cycles, 0),
+               Error);
+  const auto verdicts = tool.analyze_windows(
+      run.alloc_events,
+      pebs::split_cycle_windows(run.samples, run.total_cycles, 1ull << 62),
+      locator);
   EXPECT_EQ(verdicts.size(), 1u);  // one giant window
 }
 
 TEST_F(DrBwToolTest, AnalyzeExplainAndServeAgreePerWindow) {
   // The contended fixture (6 threads x 4 nodes on node-0 memory), cut into
   // 8 cycle windows.  Under the same gates, DrBw, explain, and serve all
-  // classify through ml::classify_channels, so they must agree window by
-  // window.
+  // featurize windows through features::extract_window and classify through
+  // ml::classify_channels, so they must agree window by window.
   const ml::Classifier model = train_model();
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 6, 4, /*bound=*/true, 400'000, 999);
@@ -288,21 +298,35 @@ TEST_F(DrBwToolTest, AnalyzeExplainAndServeAgreePerWindow) {
   ASSERT_EQ(explained.windows.size(), windows.size());
 
   core::MasterNodeLocator locator;
-  core::Profiler profiler(machine_, locator);
-  std::vector<Report> reports;
+  const std::vector<WindowVerdict> analyzed =
+      tool.analyze_windows(trace.events, windows, locator);
+  ASSERT_EQ(analyzed.size(), windows.size());
   std::size_t rmc_windows = 0;
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    reports.push_back(
-        tool.analyze_profile(profiler.profile(trace.events, windows[w].samples)));
-    std::vector<std::string> analyzed, from_explain;
-    for (const auto& ch : reports.back().contended) {
-      analyzed.push_back(machine_.channel_name(ch));
+    std::vector<const ChannelVerdict*> admitted;
+    for (const ChannelVerdict& v : analyzed[w].channels) {
+      if (!v.sparse) admitted.push_back(&v);
     }
-    for (const ml::ChannelVerdict& v : explained.windows[w].verdicts) {
-      if (v.rmc()) from_explain.push_back(machine_.channel_name(v.channel));
+    const std::vector<ml::ChannelVerdict>& from_explain =
+        explained.windows[w].verdicts;
+    ASSERT_EQ(admitted.size(), from_explain.size()) << "window " << w;
+    std::vector<topology::ChannelId> explain_contended;
+    for (std::size_t c = 0; c < admitted.size(); ++c) {
+      EXPECT_EQ(admitted[c]->channel, from_explain[c].channel);
+      EXPECT_EQ(admitted[c]->rmc(), from_explain[c].rmc());
+      EXPECT_EQ(admitted[c]->features.scope_samples,
+                from_explain[c].features.scope_samples);
+      for (std::size_t k = 0; k < features::kNumSelected; ++k) {
+        EXPECT_EQ(admitted[c]->features.values[k],
+                  from_explain[c].features.values[k])
+            << "window " << w << " feature " << k;
+      }
+      if (from_explain[c].rmc()) {
+        explain_contended.push_back(from_explain[c].channel);
+      }
     }
-    EXPECT_EQ(analyzed, from_explain) << "window " << w;
-    if (reports.back().rmc) ++rmc_windows;
+    EXPECT_EQ(analyzed[w].contended, explain_contended) << "window " << w;
+    if (analyzed[w].rmc) ++rmc_windows;
   }
   EXPECT_GT(rmc_windows, 0u);  // the agreement covers contended verdicts
 
@@ -319,12 +343,47 @@ TEST_F(DrBwToolTest, AnalyzeExplainAndServeAgreePerWindow) {
   const serve::TimelineRow& first = served.timeline.front();
   EXPECT_EQ(first.tick, 0u);
   EXPECT_EQ(first.windows, 1u);
-  EXPECT_EQ(first.rmc, reports[0].rmc ? 1u : 0u);
+  EXPECT_EQ(first.rmc, analyzed[0].rmc ? 1u : 0u);
   double confidence = 1.0;
-  for (const ChannelVerdict& v : reports[0].channels) {
-    if (!v.sparse) confidence = std::min(confidence, v.explanation.confidence);
+  for (const ml::ChannelVerdict& v : explained.windows[0].verdicts) {
+    confidence = std::min(confidence, v.explanation.confidence);
   }
   EXPECT_EQ(first.confidence_p50, confidence);
+}
+
+TEST_F(DrBwToolTest, WindowPathsReplayTheAllocationTableOnce) {
+  // The streamcluster T8-N4 seed-7 trace (`drbw record`'s perf trace), cut
+  // into 8 windows: analyze and explain each replay its allocation events
+  // into one HeapTracker, not one per window.
+  if (!obs::kEnabled) GTEST_SKIP() << "metrics are compiled out";
+  mem::AddressSpace space(machine_);
+  sim::EngineConfig engine;
+  engine.seed = 7;
+  const auto built = workloads::make_suite_benchmark("streamcluster")->build(
+      space, machine_, workloads::RunConfig{8, 4},
+      workloads::PlacementMode::kOriginal, 1);
+  const auto run = workloads::execute(machine_, space, built, engine);
+  const pebs::Trace trace{run.alloc_events, run.samples};
+  const std::vector<pebs::CycleWindow> windows =
+      pebs::split_trace_windows(trace, 8);
+  const auto allocations = static_cast<std::uint64_t>(std::count_if(
+      trace.events.begin(), trace.events.end(),
+      [](const mem::AllocationEvent& e) {
+        return e.kind == mem::AllocationEvent::Kind::kAlloc;
+      }));
+  ASSERT_GT(allocations, 0u);
+
+  const ml::Classifier model = train_model();
+  const obs::Counter& replayed = obs::Registry::global().counter(
+      "drbw_core_heap_allocs_total", "Allocation events replayed");
+  std::uint64_t before = replayed.value();
+  report::explain_windows(machine_, model, trace.events, windows, 2);
+  EXPECT_EQ(replayed.value() - before, allocations);
+
+  core::MasterNodeLocator locator;
+  before = replayed.value();
+  DrBw(machine_, model).analyze_windows(trace.events, windows, locator);
+  EXPECT_EQ(replayed.value() - before, allocations);
 }
 
 TEST_F(DrBwToolTest, RejectsModelWithWrongArity) {

@@ -223,7 +223,7 @@ TEST_F(FeaturesTest, WindowOfAttributedSamplesEqualsProfiledScope) {
   for (const pebs::MemorySample& s : samples) {
     window.push_back(profiler_.attribute(tracker, s));
   }
-  const auto windowed = extract_channels(window, machine_);
+  const auto windowed = extract_window(window, machine_);
 
   ASSERT_EQ(windowed.size(), profiled.size());
   for (std::size_t c = 0; c < profiled.size(); ++c) {

@@ -1,8 +1,8 @@
-// Perf-gate baseline pin: replays every leg of the CI perf gates (record,
-// train, analyze/featurize, serve, explain, and the sharded trace load) in a
-// scratch directory with the committed model, exactly as CI runs them from
-// the repository root, and asserts that each fresh run manifest's golden
-// block is byte-identical to its committed bench/perf_baseline_*.json.
+// Behaviour-gate baseline pin: replays every leg of the CI behaviour gates
+// (record, train, analyze/featurize, serve, explain, and the sharded trace
+// load) in a scratch directory with the committed model, exactly as CI runs
+// them from the repository root, and asserts that each fresh run manifest's
+// golden block is byte-identical to its committed bench/perf_baseline_*.json.
 //
 // `drbw perf diff` only compares span and counter statistics, so a baseline
 // whose config, inputs, or outputs went stale still passes the gate; this

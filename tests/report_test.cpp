@@ -35,9 +35,13 @@ class ReportTest : public ::testing::Test {
                       workloads::PlacementMode::kOriginal, 0);
       const auto run = workloads::execute(machine(), space, built, engine);
       core::AddressSpaceLocator locator(space);
-      return std::make_pair(tool.analyze(run, locator),
-                            tool.analyze_windows(run, locator,
-                                                 run.total_cycles / 4 + 1));
+      return std::make_pair(
+          tool.analyze(run, locator),
+          tool.analyze_windows(
+              run.alloc_events,
+              pebs::split_cycle_windows(run.samples, run.total_cycles,
+                                        run.total_cycles / 4 + 1),
+              locator));
     }();
     return result;
   }

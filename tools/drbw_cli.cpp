@@ -1169,7 +1169,7 @@ int cmd_perf_diff(int argc, char** argv) {
       "compare span statistics and metric counters between run manifests: "
       "the first is the baseline, and every following manifest is diffed "
       "against it.  Exits 3 when any comparison grew past baseline*(1+F); "
-      "CI uses this as a perf gate");
+      "CI uses this as a behaviour gate");
   parser.add_positionals("run.json",
                          "the baseline manifest, then one or more to compare",
                          2, SIZE_MAX);
