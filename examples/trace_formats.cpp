@@ -7,9 +7,9 @@
 //   3. load all three back and verify they are the *same trace*, at
 //      jobs=1 and jobs=4 alike.
 //
-// Why bother with formats?  CSV is greppable; binary loads ~11.5x
-// faster (536 vs 67 MB/s on a 1,000,000-sample trace — committed
-// numbers in BENCH_trace_io.json, regenerate with bench/micro_trace_io).
+// Why bother with formats?  CSV is greppable; binary decodes faster (the
+// perfbench analyze_corpus rows pebs.decode_mb_per_s.{binary,csv} time
+// both codecs over 130 recorded traces on the host that runs them).
 // Sharded sets add parallel writes and crash-safety: the index at the
 // set path is written last, so a torn save is invisible, and
 // merge-on-load is byte-identical at any --jobs.
@@ -122,8 +122,9 @@ int main() {
 
   std::cout
       << "\nPicking a format: CSV stays greppable; `drbw record --format "
-         "binary`\nloads ~11.5x faster and `--shards 4` keeps 8.3x while "
-         "adding parallel,\ncrash-safe writes (BENCH_trace_io.json). "
+         "binary`\ndecodes faster (perfbench analyze_corpus, "
+         "pebs.decode_mb_per_s.*) and\n`--shards 4` adds parallel, "
+         "crash-safe writes. "
          "`drbw convert` moves a trace\nbetween formats after the fact, and "
          "`drbw analyze --expect-trace-version`\npins what a deployment "
          "accepts (exit 69 on skew).\n";

@@ -82,10 +82,6 @@ struct ProfileResult {
   std::uint64_t total_samples = 0;
   /// Samples attributed to tracked heap objects (vs static/stack).
   std::uint64_t attributed_samples = 0;
-
-  /// All samples issued by threads on `src` (across every destination):
-  /// the context set used for the per-source statistics features.
-  std::vector<const AttributedSample*> samples_from(topology::NodeId src) const;
 };
 
 class Profiler {

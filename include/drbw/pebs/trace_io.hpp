@@ -13,9 +13,9 @@
 //     F,<base>                        free event
 //     S,<addr>,<cpu>,<tid>,<level>,<latency>,<w>,<cycle>   sample
 //
-//   Binary (v3) — little-endian fixed-width records, ~3x the CSV load
-//   throughput (BENCH_trace_io.json; fields sit at fixed offsets instead of
-//   being parsed from text):
+//   Binary (v3) — little-endian fixed-width records that decode faster
+//   than CSV (perfbench analyze_corpus, pebs.decode_mb_per_s.{binary,csv};
+//   fields sit at fixed offsets instead of being parsed from text):
 //     #drbw-trace v3 crc32=<hex> bytes=<n>
 //     prelude   magic 'DRBW' u32 | flags u32 (0) | event count u64 |
 //               sample count u64 | label-blob bytes u64

@@ -45,7 +45,8 @@ class Json {
   bool is_object() const { return type() == Type::kObject; }
   bool is_array() const { return type() == Type::kArray; }
 
-  /// Typed accessors; throw drbw::Error on type mismatch.
+  /// Typed accessors; throw drbw::Error(kParse) on a type mismatch or (as_int)
+  /// a non-integral number.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;

@@ -75,14 +75,4 @@ void Profiler::count_scope(std::uint64_t total, std::uint64_t attributed) {
   metrics.unattributed.add(total - attributed);
 }
 
-std::vector<const AttributedSample*> ProfileResult::samples_from(
-    topology::NodeId src) const {
-  std::vector<const AttributedSample*> out;
-  for (const ChannelProfile& channel : channels) {
-    if (channel.channel.src != src) continue;
-    for (const AttributedSample& s : channel.samples) out.push_back(&s);
-  }
-  return out;
-}
-
 }  // namespace drbw::core

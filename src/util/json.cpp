@@ -7,56 +7,74 @@
 
 namespace drbw {
 
+namespace {
+
+/// A well-formed document whose value has the wrong type is bad input, not
+/// a programmer error: it fails as a parse error (exit 67), like malformed
+/// text does.
+[[noreturn]] void type_error(const std::string& what) {
+  throw Error("JSON " + what, ErrorCode::kParse);
+}
+
+}  // namespace
+
 Json::Type Json::type() const {
   return static_cast<Type>(value_.index());
 }
 
 bool Json::as_bool() const {
-  DRBW_CHECK_MSG(std::holds_alternative<bool>(value_), "JSON value is not a bool");
+  if (!std::holds_alternative<bool>(value_)) type_error("value is not a bool");
   return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
-  DRBW_CHECK_MSG(std::holds_alternative<double>(value_),
-                 "JSON value is not a number");
+  if (!std::holds_alternative<double>(value_)) {
+    type_error("value is not a number");
+  }
   return std::get<double>(value_);
 }
 
 std::int64_t Json::as_int() const {
   const double d = as_number();
   const auto i = static_cast<std::int64_t>(std::llround(d));
-  DRBW_CHECK_MSG(std::abs(d - static_cast<double>(i)) < 1e-9,
-                 "JSON number " << d << " is not integral");
+  if (!(std::abs(d - static_cast<double>(i)) < 1e-9)) {
+    type_error("number " + dump(-1) + " is not integral");
+  }
   return i;
 }
 
 const std::string& Json::as_string() const {
-  DRBW_CHECK_MSG(std::holds_alternative<std::string>(value_),
-                 "JSON value is not a string");
+  if (!std::holds_alternative<std::string>(value_)) {
+    type_error("value is not a string");
+  }
   return std::get<std::string>(value_);
 }
 
 const JsonArray& Json::as_array() const {
-  DRBW_CHECK_MSG(std::holds_alternative<JsonArray>(value_),
-                 "JSON value is not an array");
+  if (!std::holds_alternative<JsonArray>(value_)) {
+    type_error("value is not an array");
+  }
   return std::get<JsonArray>(value_);
 }
 
 const JsonObject& Json::as_object() const {
-  DRBW_CHECK_MSG(std::holds_alternative<JsonObject>(value_),
-                 "JSON value is not an object");
+  if (!std::holds_alternative<JsonObject>(value_)) {
+    type_error("value is not an object");
+  }
   return std::get<JsonObject>(value_);
 }
 
 JsonArray& Json::as_array() {
-  DRBW_CHECK_MSG(std::holds_alternative<JsonArray>(value_),
-                 "JSON value is not an array");
+  if (!std::holds_alternative<JsonArray>(value_)) {
+    type_error("value is not an array");
+  }
   return std::get<JsonArray>(value_);
 }
 
 JsonObject& Json::as_object() {
-  DRBW_CHECK_MSG(std::holds_alternative<JsonObject>(value_),
-                 "JSON value is not an object");
+  if (!std::holds_alternative<JsonObject>(value_)) {
+    type_error("value is not an object");
+  }
   return std::get<JsonObject>(value_);
 }
 

@@ -162,18 +162,5 @@ TEST_F(ProfilerTest, ReplicatedDataResolvesLocalEverywhere) {
   }
 }
 
-TEST_F(ProfilerTest, SamplesFromGroupsBySourceNode) {
-  const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(3));
-  const mem::Addr base = space_.object(obj).base;
-  const auto result = profiler_.profile(
-      space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kRemoteDram, 500.0f),
-       sample(base + 64, 1, pebs::MemLevel::kRemoteDram, 500.0f),
-       sample(base + 128, 8, pebs::MemLevel::kRemoteDram, 500.0f)});
-  EXPECT_EQ(result.samples_from(0).size(), 2u);
-  EXPECT_EQ(result.samples_from(1).size(), 1u);
-  EXPECT_EQ(result.samples_from(2).size(), 0u);
-}
-
 }  // namespace
 }  // namespace drbw::core

@@ -561,6 +561,13 @@ TEST(DrBwCliExplainTest, StatsHintsServeSnapshotsToTheServeFlag) {
   EXPECT_EQ(run_cli("stats --trace " + dir + "/raw.json"), 64);
   EXPECT_EQ(run_cli("stats --serve --trace " + dir + "/raw.json"), 0);
   EXPECT_EQ(run_cli("explain --windows 0 --trace " + dir + "/raw.json"), 64);
+  // A checksum-valid snapshot whose values have the wrong JSON type is bad
+  // input: a parse error (67), not an internal check failure (1).
+  util::write_versioned_artifact(
+      dir + "/mistyped.json", "serve-snapshot", serve::kServeSnapshotVersion,
+      "{\n  \"drbw_serve_snapshot\": 2,\n  \"timeline\": [\n"
+      "    {\"tick\": \"3\", \"windows\": 1, \"rmc\": 0}\n  ]\n}\n");
+  EXPECT_EQ(run_cli("stats --serve --trace " + dir + "/mistyped.json"), 67);
   std::filesystem::remove_all(dir);
 }
 

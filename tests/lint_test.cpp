@@ -45,7 +45,7 @@ TEST(LintClassifyTest, LayersAndEmittersFollowPaths) {
   EXPECT_FALSE(classify("tools/lint/lint_rules.cpp").is_emitter);
   EXPECT_TRUE(classify("src/obs/wall_clock.cpp").is_obs_wall_home);
   EXPECT_FALSE(classify("include/drbw/obs/trace.hpp").is_obs_wall_home);
-  EXPECT_TRUE(classify("bench/micro_obs.cpp").is_bench);
+  EXPECT_TRUE(classify("bench/micro.cpp").is_bench);
   EXPECT_FALSE(classify("src/obs/trace.cpp").is_bench);
 }
 
@@ -141,7 +141,7 @@ TEST(LintWallclockTest, CatchesTimeCallsNotLookalikes) {
   EXPECT_FALSE(
       has_rule(check("a.cpp", "clock += epoch_cycles;\n"), "no-wallclock"));
   // chrono-based benchmark timing is deliberately out of scope.
-  EXPECT_FALSE(has_rule(check("bench/micro_executor.cpp",
+  EXPECT_FALSE(has_rule(check("bench/micro.cpp",
                               "auto t0 = Clock::now();\n"),
                         "no-wallclock"));
 }
@@ -184,7 +184,7 @@ TEST(LintObsWallclockTest, ObsShimNeedsJustifiedAllow) {
 
 TEST(LintObsWallclockTest, BenchesAndProseAreExempt) {
   EXPECT_FALSE(has_rule(
-      check("bench/micro_executor.cpp",
+      check("bench/micro.cpp",
             "using Clock = std::chrono::steady_clock;\n"),
       "obs-wallclock"));
   EXPECT_FALSE(has_rule(
@@ -330,7 +330,7 @@ TEST(LintNakedDiagnosticTest, CerrBannedOutsideDiagnosticHomes) {
   EXPECT_FALSE(has_rule(check("include/drbw/util/error.hpp",
                               "#pragma once\n" + snippet),
                         "no-naked-diagnostic"));
-  EXPECT_FALSE(has_rule(check("bench/micro_executor.cpp", snippet),
+  EXPECT_FALSE(has_rule(check("bench/micro.cpp", snippet),
                         "no-naked-diagnostic"));
   // Prose and string literals are not diagnostics.
   EXPECT_FALSE(has_rule(check("src/sim/engine.cpp", "// std::cerr is banned\n"),

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <set>
 
 #include "drbw/fault/injector.hpp"
 #include "drbw/ml/metrics.hpp"
@@ -217,26 +218,58 @@ TEST(Explanation, ConfidenceIsLeafPurityInMajorityRange) {
   }
 }
 
-TEST(Explanation, AttributionsSumToLeafMinusRootProbability) {
-  // The Saabas identity: P(rmc | leaf) = P(rmc | root) + sum(attributions).
-  const Dataset d = xor_free_dataset();
-  const Classifier model = Classifier::train(d);
+/// Checks the Saabas identity P(rmc | leaf) = P(rmc | root) +
+/// sum(attributions) on every row; returns the distinct leaves reached.
+std::set<int> expect_saabas_identity(
+    const Classifier& model, const std::vector<std::vector<double>>& rows) {
   const auto& nodes = model.tree().nodes();
   const auto p_rmc = [&](int node) {
     const auto& n = nodes[static_cast<std::size_t>(node)];
     return static_cast<double>(n.rmc_count) / static_cast<double>(n.count);
   };
   const double p_root = p_rmc(0);
-  Rng rng(9);
-  for (int i = 0; i < 50; ++i) {
-    const Explanation e =
-        model.predict_explained({rng.uniform(), rng.uniform()});
-    ASSERT_EQ(e.attributions.size(), 2u);
-    const double p_leaf = p_rmc(e.leaf);
+  std::set<int> leaves;
+  for (const std::vector<double>& row : rows) {
+    const Explanation e = model.predict_explained(row);
+    EXPECT_EQ(e.attributions.size(), model.feature_names().size());
     const double sum = std::accumulate(e.attributions.begin(),
                                        e.attributions.end(), 0.0);
-    EXPECT_NEAR(p_root + sum, p_leaf, 1e-12);
+    EXPECT_NEAR(p_root + sum, p_rmc(e.leaf), 1e-12);
+    leaves.insert(e.leaf);
   }
+  return leaves;
+}
+
+TEST(Explanation, AttributionsSumToLeafMinusRootProbability) {
+  const Classifier toy = Classifier::train(xor_free_dataset());
+  std::vector<std::vector<double>> toy_rows;
+  Rng rng(9);
+  for (int i = 0; i < 50; ++i) {
+    toy_rows.push_back({rng.uniform(), rng.uniform()});
+  }
+  expect_saabas_identity(toy, toy_rows);
+
+  // The committed 13-feature paper classifier, on a deterministic LCG walk
+  // across each feature's training range.  Raw [0, 1) rows would miss the
+  // leaf behind the feature-6 split (raw threshold ~670), so every row is
+  // scaled by the model's own normalizer bounds.
+  const Classifier paper = Classifier::load(
+      std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
+  const Json bounds = paper.normalizer().to_json();
+  const JsonArray& lo = bounds.at("lo").as_array();
+  const JsonArray& hi = bounds.at("hi").as_array();
+  std::vector<std::vector<double>> rows(256);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (std::vector<double>& row : rows) {
+    for (std::size_t f = 0; f < lo.size(); ++f) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double u = static_cast<double>((state >> 16) % 10000) / 10000.0;
+      row.push_back(lo[f].as_number() +
+                    u * (hi[f].as_number() - lo[f].as_number()));
+    }
+  }
+  EXPECT_EQ(expect_saabas_identity(paper, rows).size(),
+            paper.tree().leaf_count());
 }
 
 TEST(Explanation, PathSignatureIsStable) {
