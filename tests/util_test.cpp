@@ -277,6 +277,31 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_EQ(v.find("missing"), nullptr);
 }
 
+// A well-formed document with a mistyped value is bad input: every typed
+// accessor fails with kParse (exit 67), never an internal check.
+TEST(Json, TypeErrorsAreParseErrors) {
+  const Json v = Json::parse(R"({"s":"x","n":1.5,"b":true,"a":[],"o":{}})");
+  const auto code_of = [](const auto& access) {
+    try {
+      access();
+    } catch (const Error& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "accessor did not throw";
+    return ErrorCode::kGeneric;
+  };
+  EXPECT_EQ(code_of([&] { (void)v.at("s").as_bool(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("s").as_number(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("s").as_int(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("n").as_int(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("b").as_string(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("o").as_array(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)v.at("a").as_object(); }), ErrorCode::kParse);
+  Json mut(1.5);
+  EXPECT_EQ(code_of([&] { (void)mut.as_array(); }), ErrorCode::kParse);
+  EXPECT_EQ(code_of([&] { (void)mut.as_object(); }), ErrorCode::kParse);
+}
+
 TEST(Json, CompactDump) {
   Json doc;
   doc.set("a", 1);
